@@ -30,6 +30,7 @@ from repro.analysis.figures import bar_chart
 from repro.area import bandwidth_per_pin_table, server_design_table
 from repro.area.cost import iso_capacity_comparison
 from repro.dram import load_latency_curve
+from repro.engine.kernel import KERNEL_MODES
 from repro.power import energy_report, system_power
 from repro.cxl.profiles import PROFILES
 from repro.system.config import ALL_CONFIGS
@@ -708,7 +709,6 @@ def cmd_bench_bless(args: argparse.Namespace) -> int:
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
     """Measure dispatch-loop throughput per kernel; optional ratio gate."""
-    from repro.engine.kernel import KERNEL_MODES
     from repro.exec.perf import kernel_bench_record, write_bench
     from repro.parity import GoldenError, load_bench_baseline, record_events_per_s
 
@@ -955,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="what --obs collects: metrics+series ('on') or "
                          "additionally the kernel profile (default)")
     pr.add_argument("--kernel", default=None,
-                    choices=["fast", "reference", "batch"],
+                    choices=KERNEL_MODES,
                     help="dispatch-loop mode (default: fast); all modes "
                          "produce bit-identical results")
     pr.add_argument("--tracing", default=None, choices=["on", "kernel"],
@@ -1048,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-job observability; enables the fleet metric "
                          "rollup in the benchmark record (cache hits skip it)")
     ps.add_argument("--kernel", default=None,
-                    choices=["fast", "reference", "batch"],
+                    choices=KERNEL_MODES,
                     help="dispatch-loop mode for uncached jobs; combine "
                          "with --no-cache to actually exercise the loop")
     ps.add_argument("--tracing", default=None,
@@ -1163,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-job observability; enables exact fleet "
                            "quantile merging in the benchmark record")
     pfls.add_argument("--kernel", default=None,
-                      choices=["fast", "reference", "batch"],
+                      choices=KERNEL_MODES,
                       help="dispatch-loop mode for uncached jobs")
     pfls.set_defaults(fn=cmd_fleet_sweep)
 
@@ -1235,7 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
     ppr.add_argument("--json", default=None,
                      help="also dump measured values as JSON to this path")
     ppr.add_argument("--kernel", default=None,
-                     choices=["fast", "reference", "batch"],
+                     choices=KERNEL_MODES,
                      help="dispatch-loop mode for uncached runs (results "
                           "are bit-identical across kernels)")
     ppr.set_defaults(fn=cmd_parity_run)
@@ -1267,9 +1267,9 @@ def build_parser() -> argparse.ArgumentParser:
     pbr = bsub.add_parser(
         "run", help="measure per-kernel dispatch-loop throughput "
                     "(cache-free, in-process)")
-    pbr.add_argument("--kernels", default="fast,batch",
+    pbr.add_argument("--kernels", default="fast,reference",
                      help="comma list of dispatch loops to measure "
-                          "(fast/reference/batch)")
+                          f"({'/'.join(KERNEL_MODES)})")
     pbr.add_argument("--ops", type=int, default=800,
                      help="memory ops per core per job (default 800)")
     pbr.add_argument("--seed", type=int, default=1)
@@ -1285,7 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
     pbr.add_argument("--min-ratio", type=float, default=None,
                      help="fail unless the gated kernel reaches this "
                           "multiple of the blessed baseline events/s")
-    pbr.add_argument("--gate-kernel", default="batch",
+    pbr.add_argument("--gate-kernel", default="fast", choices=KERNEL_MODES,
                      help="kernel the --min-ratio gate applies to")
     pbr.add_argument("--quiet", action="store_true",
                      help="suppress per-repeat progress on stderr")

@@ -171,8 +171,8 @@ class LatencySampler:
     """Deterministic per-channel draw stream through a profile's inverse CDF.
 
     Draws are consumed in request-arrival order, which the kernel
-    bit-identity contract guarantees is the same under the reference,
-    fast, and batch dispatch loops.
+    bit-identity contract guarantees is the same under the reference
+    and fast dispatch loops.
     """
 
     __slots__ = ("profile", "seed", "_count")

@@ -4,10 +4,9 @@ Three oracle classes, per the testing plan:
 
 - **Invariant** (``invariant``): run with the request-lifecycle checker on
   (:mod:`repro.validate`); any violation fails the case.
-- **Differential** (``diff_kernel``, ``diff_batch``, ``diff_cache``):
-  two executions that must agree bit-for-bit — the inlined fast dispatch
-  loop vs the retained reference loop, the batched same-timestamp loop vs
-  the same reference, and a cold :func:`repro.analysis.tables.run_one` vs
+- **Differential** (``diff_kernel``, ``diff_cache``): two executions
+  that must agree bit-for-bit — every dispatch loop vs the retained
+  reference loop, and a cold :func:`repro.analysis.tables.run_one` vs
   the same job served back through the on-disk result cache.
 - **Metamorphic** (``bw_monotone``, ``calm_r_bound``, ``asym_read_heavy``,
   ``ops_scaling``, ``channel_balance``, ``tiering_bound``,
@@ -30,6 +29,7 @@ import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional
 
+from repro.engine.kernel import KERNEL_MODES
 from repro.fuzz.gen import FuzzCase, build_config, with_config_override
 from repro.system.stats import SimResult
 from repro.workloads.catalog import get_workload
@@ -123,22 +123,16 @@ def check_invariant(case: FuzzCase) -> Optional[str]:
 # -- differential -------------------------------------------------------------
 
 def check_diff_kernel(case: FuzzCase) -> Optional[str]:
-    fast = _simulate(case, kernel="fast")
+    """Every dispatch loop agrees bit-for-bit with the reference loop."""
     ref = _simulate(case, kernel="reference")
-    diffs = _result_diff(fast, ref)
-    if not diffs:
-        return None
-    return "fast vs reference kernel diverged: " + "; ".join(diffs[:5])
-
-
-def check_diff_batch(case: FuzzCase) -> Optional[str]:
-    """The batched dispatch loop agrees bit-for-bit with the reference."""
-    batch = _simulate(case, kernel="batch")
-    ref = _simulate(case, kernel="reference")
-    diffs = _result_diff(batch, ref)
-    if not diffs:
-        return None
-    return "batch vs reference kernel diverged: " + "; ".join(diffs[:5])
+    for kern in KERNEL_MODES:
+        if kern == "reference":
+            continue
+        diffs = _result_diff(_simulate(case, kernel=kern), ref)
+        if diffs:
+            return (f"{kern} vs reference kernel diverged: "
+                    + "; ".join(diffs[:5]))
+    return None
 
 
 def check_diff_cache(case: FuzzCase) -> Optional[str]:
@@ -436,7 +430,7 @@ def check_tracing(case: FuzzCase) -> Optional[str]:
 
     from repro.tracing.critpath import ATTRIBUTION_COMPONENTS
 
-    for kern in ("fast", "batch", "reference"):
+    for kern in KERNEL_MODES:
         plain = _simulate(case, kernel=kern, tracing="off")
         traced = _simulate(case, kernel=kern, tracing="on")
         da, db = _dc.asdict(plain), _dc.asdict(traced)
@@ -498,7 +492,6 @@ class Oracle:
 ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("invariant", check_invariant),
     Oracle("diff_kernel", check_diff_kernel),
-    Oracle("diff_batch", check_diff_batch),
     Oracle("diff_cache", check_diff_cache),
     Oracle("bw_monotone", check_bw_monotone, applies=_is_cxl),
     Oracle("calm_r_bound", check_calm_r_bound,

@@ -69,11 +69,16 @@ class ObsCollector:
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Bind to a simulator + chip; arms the profiler in profile mode."""
+        """Bind to a simulator + chip; arms the profiler in profile mode.
+
+        The profiler becomes the simulator's dispatch observer; if one is
+        already installed (the span tracer's ``"kernel"`` mode), the
+        collector shares it, so ``self.profiler`` is that instance.
+        """
         self._sim = sim
         self._chip = chip
         if self.profiler is not None:
-            sim.profiler = self.profiler
+            self.profiler = self.profiler.install(sim)
         # Delta columns accumulate traffic; everything else is a level.
         self.series.sum_cols = set(self._delta_names())
 

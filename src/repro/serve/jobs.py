@@ -18,6 +18,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.engine.kernel import KERNEL_MODES
 from repro.exec.runner import JobResult, SweepJob, expand_grid
 from repro.workloads import workload_names
 
@@ -99,8 +100,8 @@ def parse_job_request(payload: Dict[str, Any],
     if validate is not None and validate not in ("off", "on", "strict"):
         raise BadRequest("'validate' must be one of off/on/strict")
     kernel = payload.get("kernel")
-    if kernel is not None and kernel not in ("fast", "reference", "batch"):
-        raise BadRequest("'kernel' must be one of fast/reference/batch")
+    if kernel is not None and kernel not in KERNEL_MODES:
+        raise BadRequest(f"'kernel' must be one of {'/'.join(KERNEL_MODES)}")
     tracing = payload.get("tracing")
     if tracing is not None and tracing not in ("off", "on", "kernel"):
         raise BadRequest("'tracing' must be one of off/on/kernel")

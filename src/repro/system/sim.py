@@ -12,10 +12,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence, Union
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-free installs
-    np = None
+import numpy as np
 
 from repro.engine.soa import warmup_columns
 from repro.cpu.trace import Trace
@@ -241,11 +238,10 @@ def simulate(
         measured requests' timelines (implies ``validate="on"`` if
         validation was otherwise off).
     kernel:
-        Event-dispatch loop: ``"fast"`` (inlined hot path), ``"batch"``
-        (same-timestamp batch drain over flat arrays), or ``"reference"``
-        (the retained baseline loop the fuzzer's differential oracles
-        compare against). All three are bit-identical. ``None`` defers to
-        ``$REPRO_KERNEL``, defaulting to ``"fast"``.
+        Event-dispatch loop: ``"fast"`` (inlined hot path) or
+        ``"reference"`` (the retained baseline loop the fuzzer's
+        differential oracle compares against). Both are bit-identical.
+        ``None`` defers to ``$REPRO_KERNEL``, defaulting to ``"fast"``.
     obs:
         Observability (see :mod:`repro.obs`): ``True``/"on" samples
         metrics + time series into ``extras["obs"]``, ``"profile"``
@@ -261,7 +257,9 @@ def simulate(
         records per-request component spans + critical-path attribution
         into ``extras["trace"]``, ``"kernel"`` additionally counts event
         dispatches per callback (deterministic, identical across
-        kernels), ``False``/"off" disables. A pre-built
+        kernels; with ``obs="profile"`` both read one shared
+        :class:`~repro.obs.KernelProfiler`), ``False``/"off" disables. A
+        pre-built
         :class:`~repro.tracing.SpanTracer` is used directly (the caller
         keeps it for exporting). ``None`` defers to ``$REPRO_TRACING``.
         Like obs, the tracer is a pure observer: it schedules no events

@@ -7,7 +7,7 @@ stamps onto each :class:`~repro.request.MemRequest` (the same event
 vocabulary :func:`repro.validate.timeline_of` exports). A run with
 tracing enabled therefore produces a bit-identical :class:`SimResult`
 outside ``extras["trace"]`` — the fuzzer's ``tracing`` oracle enforces
-this across all three dispatch kernels.
+this on every dispatch kernel.
 
 Per measured request the tracer records child spans at each component
 boundary:
@@ -25,17 +25,20 @@ arithmetic mirrors ``Chip._complete`` / ``LatencyBreakdown`` term for
 term, so the span-derived queuing share reconciles exactly with the
 Fig 2b parity golden (the ``fig2b_attribution`` registry metric).
 
-In ``"kernel"`` mode the tracer additionally installs
-``Simulator.event_hook`` and counts measurement-phase event dispatches
-per callback ``__qualname__`` — a deterministic (no wall-clock) view of
-where the event kernel spends its dispatches, honored identically by
-all three dispatch loops.
+In ``"kernel"`` mode the tracer additionally installs a
+:class:`~repro.obs.KernelProfiler` as the simulator's dispatch observer
+(sharing the obs collector's when ``obs="profile"`` is on too) and
+reports its measurement-phase dispatch counts per callback
+``__qualname__`` — a deterministic (no wall-clock) view of where the
+event kernel spends its dispatches, identical on every dispatch loop.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.profiler import KernelProfiler
 
 #: Valid tracing modes: disabled, span tracing, span + kernel dispatch counts.
 TRACING_MODES = ("off", "on", "kernel")
@@ -99,7 +102,8 @@ class SpanTracer:
         self.chip = None
         self._live: Dict[int, list] = {}            # req_id -> in-flight marks
         self._mshr: Dict[Tuple[int, int], float] = {}  # (core, op) -> stall t
-        self.kernel_events: Dict[str, int] = {}
+        #: Dispatch observer read for ``kernel_events`` ("kernel" mode).
+        self.dispatch: Optional[KernelProfiler] = None
         #: Ring of compact completed-request tuples; the span dicts are
         #: materialized lazily in rows() so only the retained
         #: ``span_capacity`` rows ever pay for span assembly.
@@ -126,8 +130,8 @@ class SpanTracer:
 
         Called at the measurement boundary (immediately before
         ``chip.begin_measurement()``); in ``"kernel"`` mode also installs
-        the simulator's event hook, which the measurement-phase dispatch
-        loop picks up.
+        (or shares) the simulator's dispatch observer, which the
+        measurement-phase dispatch loop calls.
         """
         self.chip = chip
         chip.tracer = self
@@ -137,15 +141,9 @@ class SpanTracer:
             if hasattr(port, "tracer"):  # CXL channels; bare DDR has no spans
                 port.tracer = self
         if self.mode == "kernel":
-            sim.event_hook = self.on_event
+            self.dispatch = KernelProfiler().install(sim)
 
     # -- hook sites (all observers: read state, never schedule) ---------------
-    def on_event(self, fn) -> None:
-        """Kernel-mode dispatch hook: count one fired event per callback."""
-        key = getattr(fn, "__qualname__", None) or repr(fn)
-        ke = self.kernel_events
-        ke[key] = ke.get(key, 0) + 1
-
     def on_mshr_stall(self, core_id: int, op_idx: int, t: float) -> None:
         """Op ``op_idx`` queued at the core's full MSHR file at time ``t``."""
         self._mshr[(core_id, op_idx)] = t
@@ -311,5 +309,6 @@ class SpanTracer:
             "spans": self.rows(),
         }
         if self.mode == "kernel":
-            snap["kernel_events"] = dict(sorted(self.kernel_events.items()))
+            snap["kernel_events"] = (self.dispatch.counts()
+                                     if self.dispatch is not None else {})
         return snap

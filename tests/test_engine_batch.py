@@ -1,13 +1,11 @@
-"""Batched dispatch loop: ordering, cancellation, and bit-equality.
+"""Equal-time event batches: ordering, cancellation, and bit-equality.
 
-The ``"batch"`` kernel drains every event sharing the head timestamp in
-one flat pass, landing same-cycle follow-on schedules in a tail list
-instead of the heap. These tests pin the contract that makes that safe:
-all three kernels fire equal-time events in the identical global
-``(time, seq)`` order — including events scheduled from *inside* a
-same-cycle batch and cancellable events cancelled mid-batch — and a full
-simulation is bit-identical across kernels, with or without observability
-attached.
+Most simulated work arrives in batches of events sharing one timestamp.
+These tests pin the dispatch contract for them: every kernel fires
+equal-time events in the identical global ``(time, seq)`` order —
+including events scheduled from *inside* a same-cycle batch and
+cancellable events cancelled mid-batch — and a full simulation is
+bit-identical across kernels, with or without observability attached.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _scenario(sim: Simulator):
-    """Script a queue exercising every batch-loop edge; returns the log.
+    """Script a queue exercising every equal-time edge; returns the log.
 
     Covers: several events at one timestamp, a same-cycle spawn chain
     (events scheduled at the *current* time from inside the batch), a
@@ -81,18 +79,18 @@ class TestEqualTimeOrdering:
     def test_identical_firing_order_across_kernels(self):
         runs = _run_all_kernels(lambda sim: sim.run())
         logs = {k: v[0] for k, v in runs.items()}
-        assert logs["fast"] == logs["reference"] == logs["batch"]
+        assert logs["fast"] == logs["reference"]
         # Equal-time events fire in schedule order; the same-cycle chain
         # (b+ / b++) fires after every event already queued at t=1.
-        t1 = [tag for t, tag in logs["batch"] if t == 1.0]
+        t1 = [tag for t, tag in logs["fast"] if t == 1.0]
         assert t1 == ["a", "b", "c", "cancel:y", "b+", "b++"]
         # The in-batch cancellable never fires; its canceller does.
-        t2 = [tag for t, tag in logs["batch"] if t == 2.0]
+        t2 = [tag for t, tag in logs["fast"] if t == 2.0]
         assert t2 == ["spawn:z", "cancel:z"]
-        assert "z" not in [tag for _, tag in logs["batch"]]
+        assert "z" not in [tag for _, tag in logs["fast"]]
         # "late" was scheduled 2.0 ns ahead from inside the t=1 batch, so
         # it fires at t=3 after the events queued before it.
-        t3 = [tag for t, tag in logs["batch"] if t == 3.0]
+        t3 = [tag for t, tag in logs["fast"] if t == 3.0]
         assert t3 == ["d", "cancel:tick", "late"]
 
     def test_cancelled_trailing_event_does_not_advance_clock(self):
@@ -121,8 +119,7 @@ class TestEqualTimeOrdering:
 
     def test_max_events_resumes_mid_batch(self):
         # Draining two events at a time must visit the identical order,
-        # even when the cap lands inside a same-timestamp batch and the
-        # unfired tail goes back on the heap.
+        # even when the cap lands inside a same-timestamp batch.
         def drive(sim):
             sim.run(max_events=2)
             while sim.pending():
@@ -134,18 +131,71 @@ class TestEqualTimeOrdering:
             assert capped[kernel][0] == oneshot[kernel][0], kernel
 
 
+class TestDispatchObserver:
+    def test_observer_sees_each_fired_event_once(self):
+        seen = {}
+        for kernel in KERNEL_MODES:
+            sim = Simulator(kernel=kernel)
+            log = _scenario(sim)
+            calls = []
+            sim.observer = calls.append
+            sim.run()
+            # One call per fired callback; cancelled entries (y, z, the
+            # t=100 tick) are never reported. Every fired callback logs one
+            # line except the lambda that schedules "late".
+            assert len(calls) == len(log) + 1 == sim.events_fired, kernel
+            seen[kernel] = [getattr(fn, "__qualname__", None) for fn in calls]
+        assert seen["fast"] == seen["reference"]
+
+    def test_profiler_rows_cover_dispatch_wall_time(self):
+        from time import perf_counter
+
+        from repro.obs import KernelProfiler
+
+        sim = Simulator()
+
+        def tick(n):
+            if n:
+                sim.schedule(1.0, tick, n - 1)
+
+        sim.schedule(0.0, tick, 20000)
+        prof = KernelProfiler().install(sim)
+        assert KernelProfiler().install(sim) is prof  # one shared slot
+        t0 = perf_counter()
+        prof.reset()
+        start = prof._last
+        sim.run()
+        wall = perf_counter() - t0
+        assert prof.counts() == {"TestDispatchObserver."
+                                 "test_profiler_rows_cover_dispatch_wall_time."
+                                 "<locals>.tick": 20001}
+        # Intervals chain from reset() to the last dispatch, so they sum
+        # to the loop's wall time, heap pops included.
+        assert prof.total_wall_s == pytest.approx(prof._last - start)
+        assert prof.total_wall_s <= wall
+
+    def test_second_observer_type_is_refused(self):
+        from repro.obs import KernelProfiler
+
+        sim = Simulator()
+        sim.observer = print
+        with pytest.raises(RuntimeError, match="observer"):
+            KernelProfiler().install(sim)
+
+
 class TestBatchSimulationEquality:
-    def test_diff_batch_oracle_on_named_configs(self):
+    def test_diff_kernel_oracle_on_named_configs(self):
         for base in ("ddr-baseline", "coaxial-4x"):
             case = FuzzCase(base=base, workload="mcf", ops=300, seed=1)
-            assert run_oracle("diff_batch", case) is None
+            assert run_oracle("diff_kernel", case) is None
 
-    def test_obs_bit_identical_under_batch(self):
+    def test_obs_bit_identical_under_reference(self):
         # The obs oracle diffs obs-on vs obs-off full results; running the
-        # case under kernel="batch" pins the cancellable-sampler-tick path
-        # (cancelled ticks skipped without advancing the batch clock).
+        # case under kernel="reference" pins the cancellable-sampler-tick
+        # path through the EventQueue API (a cancelled trailing tick must
+        # not advance the clock).
         case = FuzzCase(base="coaxial-4x", workload="stream-copy", ops=300,
-                        seed=1, kernel="batch")
+                        seed=1, kernel="reference")
         assert run_oracle("obs", case) is None
 
     @pytest.mark.slow
@@ -155,11 +205,10 @@ class TestBatchSimulationEquality:
     def test_tiering_and_device_configs_bit_identical(self, base):
         # The tiering manager routes lazily (no scheduled events) and the
         # profile sampler draws in request-arrival order, so every
-        # scenario config must stay inside the three-kernel bit-identity
-        # contract; both differential oracles do full-result asdict diffs.
+        # scenario config must stay inside the kernel bit-identity
+        # contract; the differential oracle does full-result asdict diffs.
         case = FuzzCase(base=base, workload="capacity-churn", ops=400, seed=1)
         assert run_oracle("diff_kernel", case) is None
-        assert run_oracle("diff_batch", case) is None
 
 
 class TestWarmupReplayEquivalence:
@@ -204,9 +253,9 @@ class TestWarmupReplayEquivalence:
 
 class TestKernelPlumbing:
     def test_fuzzcase_kernel_roundtrip(self):
-        case = FuzzCase(ops=300, kernel="batch")
+        case = FuzzCase(ops=300, kernel="reference")
         assert FuzzCase.from_json(case.to_json()) == case
-        assert "kernel=batch" in case.label()
+        assert "kernel=reference" in case.label()
 
     def test_fuzzcase_kernel_omitted_when_unset(self):
         # Serialization without a kernel stays byte-identical to the old
@@ -219,30 +268,30 @@ class TestKernelPlumbing:
     def test_corpus_entry_records_kernel(self, tmp_path):
         from repro.fuzz.corpus import load_entry, save_entry
 
-        path = save_entry(FuzzCase(ops=300, kernel="batch"), "calm_clock",
+        path = save_entry(FuzzCase(ops=300, kernel="reference"), "calm_clock",
                           corpus_dir=tmp_path)
-        assert load_entry(path).case.kernel == "batch"
+        assert load_entry(path).case.kernel == "reference"
 
     def test_sweep_job_kernel_label(self):
         from repro.exec.runner import expand_grid
 
         jobs = expand_grid(["ddr-baseline"], ["mcf"], ops=300,
-                           kernel="batch")
-        assert jobs[0].kernel == "batch"
-        assert "kernel=batch" in jobs[0].label()
+                           kernel="reference")
+        assert jobs[0].kernel == "reference"
+        assert "kernel=reference" in jobs[0].label()
 
     def test_kernel_bench_record(self):
         from repro.exec.perf import kernel_bench_record
 
         rec = kernel_bench_record(
-            ["fast", "batch"], configs=("ddr-baseline",),
+            ["fast", "reference"], configs=("ddr-baseline",),
             workloads=("mcf",), ops=200, repeats=1, baseline_eps=1000.0)
-        assert set(rec["kernels"]) == {"fast", "batch"}
-        fast, batch = rec["kernels"]["fast"], rec["kernels"]["batch"]
+        assert set(rec["kernels"]) == {"fast", "reference"}
+        fast, ref = rec["kernels"]["fast"], rec["kernels"]["reference"]
         # Bit-identical simulations: the kernels fire the same events.
-        assert fast["events"] == batch["events"] > 0
-        assert batch["events_per_s"] > 0
-        assert batch["ratio_vs_baseline"] > 0
+        assert fast["events"] == ref["events"] > 0
+        assert fast["events_per_s"] > 0
+        assert fast["ratio_vs_baseline"] > 0
 
     def test_kernel_bench_rejects_unknown_kernel(self):
         from repro.exec.perf import kernel_bench_record

@@ -357,7 +357,7 @@ class TestCollectorIntegration:
     def test_profiler_disabled_by_default(self):
         from repro.system.builder import build_system
         sim, _ = build_system(baseline_config())
-        assert sim.profiler is None
+        assert sim.observer is None
 
     def test_kernel_profiler_rows_sorted_by_wall(self):
         p = KernelProfiler()

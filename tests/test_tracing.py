@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.engine.kernel import KERNEL_MODES
 from repro.exportutil import dispatch_export
 from repro.fleet import TaskSpec, expand_specs
 from repro.serve.jobs import BadRequest, JobStore, parse_job_request
@@ -94,7 +95,7 @@ class TestResolveMode:
 # -- zero perturbation ---------------------------------------------------------
 
 class TestZeroPerturbation:
-    @pytest.mark.parametrize("kernel", ["fast", "batch", "reference"])
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
     def test_bit_identical_with_tracing_on(self, kernel):
         base = run(ops=200, kernel=kernel)
         on = run(ops=200, kernel=kernel, tracing="on")
@@ -111,8 +112,32 @@ class TestZeroPerturbation:
     def test_kernel_mode_counts_identical_across_kernels(self):
         counts = [run(ops=150, kernel=k, tracing="kernel")
                   .extras["trace"]["kernel_events"]
-                  for k in ("fast", "batch", "reference")]
-        assert counts[0] and counts[0] == counts[1] == counts[2]
+                  for k in KERNEL_MODES]
+        assert counts[0] and all(c == counts[0] for c in counts)
+
+
+class TestObserverComposition:
+    """obs="profile" and tracing="kernel" share the one dispatch observer."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_profile_and_kernel_tracing_together(self, kernel):
+        from repro.obs import ObsCollector
+
+        plain = run(ops=200, kernel=kernel)
+        collector = ObsCollector(mode="profile")
+        both = run(ops=200, kernel=kernel, obs=collector, tracing="kernel")
+        d, base = dataclasses.asdict(both), dataclasses.asdict(plain)
+        d["extras"].pop("obs")
+        trace = d["extras"].pop("trace")
+        counts = collector.profiler.counts()
+        # Sampler ticks are the only extra dispatches; everything else,
+        # events_fired net of those ticks included, matches the plain run.
+        ticks = counts.get("ObsCollector._tick", 0)
+        assert ticks > 0
+        d["extras"]["events_fired"] -= ticks
+        assert d == base
+        assert trace["kernel_events"] == counts
+        assert all(wall >= 0.0 for _c, wall in collector.profiler.data.values())
 
 
 # -- snapshot + attribution ----------------------------------------------------
