@@ -14,14 +14,12 @@ from repro.obs.export import (export_csv, export_jsonl, export_prometheus,
                               load_jsonl, parse_prometheus, prometheus_text)
 from repro.obs.metrics import Counter, Gauge, StreamingHistogram, TimeSeries
 from repro.obs.profiler import KernelProfiler
-from repro.obs.registry import (NULL_REGISTRY, OBS_MODES, MetricRegistry,
-                                NullRegistry, resolve_obs_mode)
+from repro.obs.registry import NULL_REGISTRY, MetricRegistry, NullRegistry
 from repro.obs.report import render_report, sparkline
 
 __all__ = [
     "Counter", "Gauge", "StreamingHistogram", "TimeSeries",
     "MetricRegistry", "NullRegistry", "NULL_REGISTRY",
-    "OBS_MODES", "resolve_obs_mode",
     "KernelProfiler", "ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS",
     "prometheus_text", "parse_prometheus",
     "export_jsonl", "export_csv", "export_prometheus", "export_snapshot",

@@ -1,9 +1,9 @@
 """ObsCollector: samples a running simulation into metrics + time series.
 
-One collector observes one ``simulate()`` run. It owns a
-:class:`MetricRegistry`, a windowed :class:`TimeSeries`, and (in
-``profile`` mode) a :class:`KernelProfiler` attached to the simulator's
-dispatch loop.
+One collector observes one ``simulate()`` run as an
+:class:`~repro.observer.Observer`. It owns a :class:`MetricRegistry`, a
+windowed :class:`TimeSeries`, and (in ``profile`` mode) a
+:class:`KernelProfiler` attached to the simulator's dispatch loop.
 
 Observation must not perturb results. The periodic sampler only *reads*
 component state, and its tick events ride the normal event queue: a tick
@@ -16,11 +16,12 @@ other result field are bit-identical with observability on or off.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import TimeSeries
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import MetricRegistry
+from repro.observer import Observer
 
 __all__ = ["ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS"]
 
@@ -30,18 +31,13 @@ __all__ = ["ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS"]
 DEFAULT_SAMPLE_INTERVAL_NS = 250.0
 
 
-class ObsCollector:
+class ObsCollector(Observer):
     """Collects metrics, time series, and (optionally) a kernel profile.
 
-    Lifecycle::
-
-        col = ObsCollector(mode="on")
-        col.attach(sim, chip)          # before the measurement phase
-        col.start()                    # at the measurement boundary
-        ...                            # sim runs; ticks sample state
-        col.stop()                     # when the last core drains
-        col.finalize(elapsed_ns)       # fold final counters/histograms
-        payload = col.snapshot()       # JSON-safe dict
+    The observer lifecycle maps onto sampling: ``attach`` (at the
+    measurement boundary) starts the sampler, ``on_drain`` cancels its
+    pending tick, and ``finish`` folds the end-of-run counters into the
+    registry and returns ``("obs", snapshot())``.
 
     ``snapshot(with_profile=False)`` (the default) is fully
     deterministic — suitable for ``SimResult.extras`` and the result
@@ -65,35 +61,31 @@ class ObsCollector:
         self._tick_event = None
         self._t0 = 0.0
         self._last: Dict[str, float] = {}
-        self._finalized = False
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Bind to a simulator + chip; arms the profiler in profile mode.
+        """Bind to a simulator + chip at the measurement boundary and
+        start sampling.
 
-        The profiler becomes the simulator's dispatch observer; if one is
-        already installed (the span tracer's ``"kernel"`` mode), the
-        collector shares it, so ``self.profiler`` is that instance.
+        In profile mode the profiler becomes the simulator's dispatch
+        observer; if one is already installed (the span tracer's
+        ``"kernel"`` mode), the collector shares it, so ``self.profiler``
+        is that instance.
         """
         self._sim = sim
         self._chip = chip
         if self.profiler is not None:
             self.profiler = self.profiler.install(sim)
+            self.profiler.reset()
         # Delta columns accumulate traffic; everything else is a level.
         self.series.sum_cols = set(self._delta_names())
-
-    def start(self) -> None:
-        """Begin sampling: call at the warmup/measurement boundary."""
-        if self._sim is None:
-            raise RuntimeError("ObsCollector.start() before attach()")
-        self._t0 = self._sim.now
-        if self.profiler is not None:
-            self.profiler.reset()
+        self._t0 = sim.now
         self._last = self._cumulative()
         self._arm()
 
-    def stop(self) -> None:
-        """Cancel the pending sampler tick (measurement drained)."""
+    def on_drain(self) -> None:
+        """Cancel the pending sampler tick so the clock stops at the last
+        real event, exactly as it would without observability."""
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
@@ -159,14 +151,10 @@ class ObsCollector:
         return out
 
     # -- final aggregation ----------------------------------------------------
-    def finalize(self, elapsed_ns: float) -> None:
-        """Fold the chip's end-of-run counters into the registry."""
-        if self._chip is None:
-            raise RuntimeError("ObsCollector.finalize() before attach()")
-        if self._finalized:
-            return
-        self._finalized = True
-        chip, reg = self._chip, self.registry
+    def finish(self, chip, elapsed_ns: float) -> Tuple[str, Dict]:
+        """Fold the chip's end-of-run counters into the registry; returns
+        the deterministic ``("obs", snapshot())`` for ``extras``."""
+        reg = self.registry
 
         for i, ch in enumerate(chip.ddr_channels):
             labels = {"channel": f"ddr{i}"}
@@ -209,6 +197,7 @@ class ObsCollector:
         # The measured miss-latency distribution, shared with SimResult's
         # quantile fields (same underlying histogram).
         reg.histogram("repro_miss_latency_ns").merge(chip.lat.hist)
+        return "obs", self.snapshot(with_profile=False)
 
     # -- output ----------------------------------------------------------------
     def snapshot(self, with_profile: bool = False) -> Dict:

@@ -1,8 +1,8 @@
 """Metric registries: the real one, and the zero-cost disabled one.
 
 Hot-path components never test a mode flag per event: when observability
-is off they either hold ``None`` (one attribute test, the same pattern
-the invariant checker uses) or :data:`NULL_REGISTRY`, whose instruments
+is off they either hold ``None`` (one attribute test) or
+:data:`NULL_REGISTRY`, whose instruments
 are shared do-nothing singletons. Either way the disabled path does no
 metric bookkeeping at all — the CI overhead gate holds the disabled
 path to within noise of a build without the subsystem.
@@ -10,42 +10,11 @@ path to within noise of a build without the subsystem.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import Counter, Gauge, StreamingHistogram, _label_key
 
-__all__ = ["MetricRegistry", "NullRegistry", "NULL_REGISTRY",
-           "OBS_MODES", "resolve_obs_mode"]
-
-#: Observability modes: ``off`` (no collection), ``on`` (metrics +
-#: time-series sampling), ``profile`` (metrics + kernel profiler).
-OBS_MODES = ("off", "on", "profile")
-
-#: Environment variable holding the default obs mode.
-ENV_OBS = "REPRO_OBS"
-
-
-def resolve_obs_mode(obs: Union[bool, str, None]) -> str:
-    """Normalize an ``obs=`` argument (or ``$REPRO_OBS``) to a mode.
-
-    ``None`` defers to the environment; booleans map to on/off; strings
-    accept the mode names plus ``0/1/2`` and ``true/false`` aliases.
-    """
-    if obs is None:
-        obs = os.environ.get(ENV_OBS, "")
-    if isinstance(obs, bool):
-        return "on" if obs else "off"
-    text = str(obs).strip().lower()
-    if text in ("", "0", "off", "false", "no", "none"):
-        return "off"
-    if text in ("1", "on", "true", "yes"):
-        return "on"
-    if text in ("2", "profile"):
-        return "profile"
-    raise ValueError(
-        f"unknown obs mode {obs!r}; expected one of {OBS_MODES} "
-        f"(or a boolean / 0 / 1 / 2)")
+__all__ = ["MetricRegistry", "NullRegistry", "NULL_REGISTRY"]
 
 
 class MetricRegistry:

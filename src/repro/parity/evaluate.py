@@ -36,7 +36,7 @@ def build_context(suite: ParitySuite, workers: int = 1,
         suites[name] = run_suite(ALL_CONFIGS[name](), suite.workloads,
                                  ops_per_core=suite.ops, seed=suite.seed,
                                  workers=workers, kernel=kernel)
-    return ParityContext(suites, suite=suite)
+    return ParityContext(suites)
 
 
 def evaluate(suite: Optional[ParitySuite] = None, workers: int = 1,

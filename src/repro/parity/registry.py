@@ -77,13 +77,9 @@ class ParityContext:
     """Results of one evaluated suite, with the accessors extractors need."""
 
     def __init__(self, suites: Dict[str, SuiteResult],
-                 baseline: str = BASELINE_CONFIG,
-                 suite: Optional[ParitySuite] = None):
+                 baseline: str = BASELINE_CONFIG):
         self.suites = suites
         self.baseline = baseline
-        #: Scale spec, needed to re-simulate traced legs on cache hits.
-        self.suite = suite
-        self._trace_memo: Dict[Tuple[str, str], Dict] = {}
 
     def results(self, config: str) -> Dict[str, SimResult]:
         return self.suites[config].results
@@ -103,39 +99,6 @@ class ParityContext:
 
     def geomean_ipc(self, config: str) -> float:
         return geomean([r.ipc for r in self.results(config).values()])
-
-    def trace_attribution(self, config: str, workload: str) -> Dict:
-        """Span-tracer attribution sums for one (config, workload) pair.
-
-        A freshly traced run already carries them in
-        ``extras["trace"]["attribution"]``; a cache hit does not (trace
-        payloads are not part of the cached result), so the pair is
-        re-simulated with tracing on. Tracing is zero-perturbation, so
-        the re-run is bit-identical to the cached result and its
-        attribution is *the* attribution of that run.
-        """
-        key = (config, workload)
-        if key not in self._trace_memo:
-            r = self.results(config)[workload]
-            trace = r.extras.get("trace") if isinstance(r.extras, dict) else None
-            if isinstance(trace, dict) and isinstance(
-                    trace.get("attribution"), dict):
-                self._trace_memo[key] = trace["attribution"]
-            else:
-                if self.suite is None:
-                    raise ValueError(
-                        "result carries no trace payload and the context has "
-                        "no suite spec to re-simulate at; build it via "
-                        "build_context()")
-                from repro.system.config import ALL_CONFIGS
-                from repro.system.sim import simulate
-                from repro.workloads.catalog import get_workload
-
-                traced = simulate(ALL_CONFIGS[config](),
-                                  get_workload(workload), self.suite.ops,
-                                  seed=self.suite.seed, tracing="on")
-                self._trace_memo[key] = traced.extras["trace"]["attribution"]
-        return self._trace_memo[key]
 
 
 @dataclass(frozen=True)
@@ -194,23 +157,6 @@ def _queuing_share_baseline(ctx: ParityContext) -> float:
     shares = [r.avg_queuing / r.avg_miss_latency
               for r in ctx.results(ctx.baseline).values()
               if r.avg_miss_latency > 0]
-    return sum(shares) / len(shares)
-
-
-def _span_queuing_share_baseline(ctx: ParityContext) -> float:
-    """Fig. 2b measured through the causal span tracer.
-
-    Same claim as :func:`_queuing_share_baseline`, but the numerator and
-    denominator come from the tracer's per-request critical-path
-    attribution sums instead of :class:`LatencyBreakdown` — an
-    end-to-end cross-check that the span tree reconstructs the same
-    latency decomposition the counters accumulate.
-    """
-    shares = []
-    for w in ctx.workloads():
-        att = ctx.trace_attribution(ctx.baseline, w)
-        if att.get("total", 0) > 0:
-            shares.append(att["queuing"] / att["total"])
     return sum(shares) / len(shares)
 
 
@@ -300,12 +246,6 @@ REGISTRY: Tuple[ParityMetric, ...] = (
         id="fig2b.queuing_share.ddr-baseline", figure="Fig. 2b",
         description="MC queuing delay share of mean L2-miss latency (baseline)",
         unit="frac", extract=_queuing_share_baseline, paper=0.60,
-        band=(0.30, 0.90), tol=_SHARE_TOL),
-    ParityMetric(
-        id="fig2b.span_attribution.ddr-baseline", figure="Fig. 2b",
-        description="MC queuing share of L2-miss latency from span-tracer "
-                    "critical-path attribution (baseline)",
-        unit="frac", extract=_span_queuing_share_baseline, paper=0.60,
         band=(0.30, 0.90), tol=_SHARE_TOL),
     ParityMetric(
         id="fig5.l2_miss_latency_reduction.coaxial-4x", figure="Fig. 5",

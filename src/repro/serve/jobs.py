@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.engine.kernel import KERNEL_MODES
 from repro.exec.runner import JobResult, SweepJob, expand_grid
+from repro.observer import MODES
 from repro.workloads import workload_names
 
 __all__ = ["Job", "JobStore", "parse_job_request",
@@ -96,15 +97,13 @@ def parse_job_request(payload: Dict[str, Any],
         raise BadRequest("'tenant' must be a non-empty string")
     tenant = tenant.strip()
 
+    for key, modes in (("validate", MODES["validate"]), ("kernel", KERNEL_MODES),
+                       ("tracing", MODES["tracing"])):
+        if payload.get(key) not in (None, *modes):
+            raise BadRequest(f"'{key}' must be one of {'/'.join(modes)}")
     validate = payload.get("validate")
-    if validate is not None and validate not in ("off", "on", "strict"):
-        raise BadRequest("'validate' must be one of off/on/strict")
     kernel = payload.get("kernel")
-    if kernel is not None and kernel not in KERNEL_MODES:
-        raise BadRequest(f"'kernel' must be one of {'/'.join(KERNEL_MODES)}")
     tracing = payload.get("tracing")
-    if tracing is not None and tracing not in ("off", "on", "kernel"):
-        raise BadRequest("'tracing' must be one of off/on/kernel")
 
     try:
         tasks = expand_grid(configs, workloads, ops=ops, seeds=seeds,

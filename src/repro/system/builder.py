@@ -20,6 +20,7 @@ from repro.cxl.channel import CxlChannel
 from repro.cxl.profiles import get_profile
 from repro.dram.controller import DDRChannel
 from repro.noc.mesh import Mesh2D
+from repro.observer import overriding
 from repro.request import MemRequest, READ, WRITE
 from repro.system.config import SystemConfig
 from repro.system.stats import LatencyBreakdown
@@ -124,16 +125,9 @@ class Chip(Component):
         self.meas_start = 0.0
         self.lat = LatencyBreakdown()
 
-        # Optional invariant checker (repro.validate). ``None`` keeps the
-        # hot path at one attribute test per hook site; ``simulate()``
-        # attaches a checker at the measurement boundary when validation
-        # is enabled.
-        self.checker = None
-        # Optional span tracer (repro.tracing), same discipline and
-        # attach point as the checker: ``None`` keeps each hook site at
-        # one attribute test, and the tracer only observes — it never
-        # schedules or mutates, so traced runs stay bit-identical.
-        self.tracer = None
+        # Observers of the request lifecycle (repro.observer), installed
+        # by observe() at the measurement boundary; empty when off.
+        self.observers: tuple = ()
 
     # -- topology helpers ---------------------------------------------------------
     def core_tile(self, core_id: int) -> int:
@@ -175,8 +169,9 @@ class Chip(Component):
         }
         calm = (not is_write) and (not prefetch) and self.calm.decide(pc, line)
         req.calm = calm
-        if self.tracer is not None:
-            self.tracer.on_l2_miss(req, now)
+        if self.observers:
+            for o in self.observers:
+                o.on_l2_miss(req)
         st = self.stats
         key = "prefetch_reqs" if prefetch else "l2_misses"
         st[key] = st.get(key, 0.0) + 1.0
@@ -190,8 +185,6 @@ class Chip(Component):
 
     def _send_to_memory(self, req: MemRequest, from_tile: int) -> None:
         """Route a read towards its memory port over the NoC."""
-        if self.checker is not None:
-            self.checker.on_mem_submit(req)
         extra = 0.0
         if self.tiers is None:
             pidx = self.port_of(req.addr)
@@ -202,8 +195,9 @@ class Chip(Component):
                 # CXL component so the breakdown (and the checker's
                 # conservation audit) see it.
                 req.cxl_delay += extra
-        if self.tracer is not None:
-            self.tracer.on_mem_submit(req, self.sim.now, extra)
+        if self.observers:
+            for o in self.observers:
+                o.on_mem_submit(req, self.sim.now, extra)
         port = self.ports[pidx]
         ptile = self.port_tiles[pidx]
         req.user["port_tile"] = ptile
@@ -248,8 +242,9 @@ class Chip(Component):
 
     def _mem_at_core(self, req: MemRequest) -> None:
         now = self.sim.now
-        if self.checker is not None:
-            self.checker.on_mem_response(req)
+        if self.observers:
+            for o in self.observers:
+                o.on_mem_response(req)
         u = req.user
         state = u["llc_state"]
         if req.calm:
@@ -274,16 +269,16 @@ class Chip(Component):
     def _complete(self, req: MemRequest) -> None:
         u = req.user
         if u["completed"]:
-            if self.checker is not None:
-                self.checker.on_double_complete(req)
+            if self.observers:
+                for o in self.observers:
+                    o.on_double_complete(req)
             return
         u["completed"] = True
         now = self.sim.now
         req.t_complete = now
-        if self.checker is not None:
-            self.checker.on_complete(req)
-        if self.tracer is not None:
-            self.tracer.on_complete(req, now)
+        if self.observers:
+            for o in self.observers:
+                o.on_complete(req)
         core: Core = u["core"]
         if (self.measuring and req.t_create >= self.meas_start
                 and not u["prefetch"]):
@@ -339,6 +334,23 @@ class Chip(Component):
         self.sim.schedule_at(t, port.submit if hasattr(port, "submit") else port.enqueue, req)
 
     # -- measurement control ----------------------------------------------------------
+    def observe(self, observers) -> None:
+        """Install ``observers`` on the chip, its cores and its CXL ports.
+
+        Each component keeps only the observers that override one of its
+        own hooks, so a hook site never calls a no-op.
+        """
+        self.observers = overriding(observers, (
+            "on_l2_miss", "on_mem_submit", "on_mem_response", "on_complete",
+            "on_double_complete"))
+        core_obs = overriding(observers, ("on_mshr_stall", "on_mshr_merge"))
+        for core in self.cores:
+            core.observers = core_obs
+        cxl_obs = overriding(observers, ("on_cxl_tx", "on_cxl_rx"))
+        for port in self.ports:
+            if isinstance(port, CxlChannel):
+                port.observers = cxl_obs
+
     def begin_measurement(self) -> None:
         """Reset all statistics at the warmup/measurement boundary."""
         self.measuring = True

@@ -235,7 +235,8 @@ def simulate(
         ``None`` defers to ``$REPRO_VALIDATE`` (``1`` / ``strict``).
     trace:
         Optional :class:`~repro.validate.TraceRecorder` filled with the
-        measured requests' timelines (implies ``validate="on"`` if
+        measured requests' timelines; it observes on its own and adds
+        nothing to ``extras`` (but implies ``validate="on"`` if
         validation was otherwise off).
     kernel:
         Event-dispatch loop: ``"fast"`` (inlined hot path) or
@@ -268,32 +269,25 @@ def simulate(
     """
     from repro.engine.kernel import Simulator
     from repro.exec.cache import config_digest
-    from repro.obs import ObsCollector, resolve_obs_mode
-    from repro.tracing import SpanTracer, resolve_tracing_mode
-    from repro.validate import InvariantChecker, TraceRecorder, resolve_validate_mode
+    from repro.obs import ObsCollector
+    from repro.observer import resolve_mode
+    from repro.tracing import SpanTracer
+    from repro.validate import InvariantChecker
 
-    if isinstance(obs, ObsCollector):
-        collector: Optional[ObsCollector] = obs
-    else:
-        obs_mode = resolve_obs_mode(obs)
-        collector = ObsCollector(mode=obs_mode) if obs_mode != "off" else None
-
-    if isinstance(tracing, SpanTracer):
-        tracer: Optional[SpanTracer] = tracing
-    else:
-        tracing_mode = resolve_tracing_mode(tracing)
-        tracer = SpanTracer(mode=tracing_mode) if tracing_mode != "off" else None
-
-    mode = resolve_validate_mode(validate)
-    if mode == "off" and trace is not None:
-        mode = "on"
-    checker = None
-    if mode != "off":
-        checker = InvariantChecker(
-            strict=(mode == "strict"),
-            trace=trace if trace is not None else TraceRecorder(),
-            config_hash=config_digest(cfg),
-        )
+    # One observer list, in extras-key order. A caller's recorder comes
+    # first so it holds a request's timeline before a strict checker
+    # raises on that request.
+    observers = [] if trace is None else [trace]
+    mode = resolve_mode("validate", validate)
+    if mode != "off" or trace is not None:
+        observers.append(InvariantChecker(strict=(mode == "strict"),
+                                          config_hash=config_digest(cfg)))
+    for kind, arg, cls in (("obs", obs, ObsCollector),
+                           ("tracing", tracing, SpanTracer)):
+        if isinstance(arg, cls):
+            observers.append(arg)
+        elif (m := resolve_mode(kind, arg)) != "off":
+            observers.append(cls(mode=m))
 
     if kernel is None:
         kernel = os.environ.get("REPRO_KERNEL", "fast") or "fast"
@@ -344,28 +338,21 @@ def simulate(
         raise RuntimeError(f"warmup did not drain within {max_ns} ns")
 
     # Phase B: measurement. The warmup phase drained completely above, so
-    # this is a clean boundary to start auditing request lifecycles.
-    if checker is not None:
-        chip.checker = checker
-    if tracer is not None:
-        # Same attach point as the checker: every request created inside
-        # the measurement window is created with span hooks live, so the
-        # tracer's attribution guard mirrors the breakdown's exactly.
-        tracer.attach(sim, chip)
+    # this is a clean boundary to attach observers: every request created
+    # inside the measurement window is created with their hooks live.
     chip.begin_measurement()
+    for o in observers:
+        o.attach(sim, chip)
+    chip.observe(observers)
     t0 = sim.now
     remaining[0] = n_active
 
     def _meas_done(core) -> None:
         remaining[0] -= 1
-        if remaining[0] == 0 and collector is not None:
-            # Cancel the pending sampler tick so the clock stops at the
-            # last real event, exactly as it would without observability.
-            collector.stop()
+        if remaining[0] == 0:
+            for o in observers:
+                o.on_drain()
 
-    if collector is not None:
-        collector.attach(sim, chip)
-        collector.start()
     for c in range(n_active):
         core = chip.cores[c]
         core.on_done = _meas_done
@@ -414,16 +401,10 @@ def simulate(
                       "ssd_miss_ns_sum", "ssd_media_rd_bytes",
                       "ssd_media_wr_bytes", "ssd_wr_hits", "ssd_wr_misses")
         }
-    if checker is not None:
-        checker.finish(chip, elapsed)
-        extras["invariant_violations"] = checker.report()
-    if collector is not None:
-        collector.finalize(elapsed)
-        # Deterministic payload only (no profile wall times): the fuzz
-        # oracles diff full results across kernels and cache hits.
-        extras["obs"] = collector.snapshot(with_profile=False)
-    if tracer is not None:
-        extras["trace"] = tracer.snapshot()
+    for o in observers:
+        out = o.finish(chip, elapsed)
+        if out is not None:
+            extras[out[0]] = out[1]
 
     return SimResult(
         config_name=cfg.name,

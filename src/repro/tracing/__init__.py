@@ -21,17 +21,11 @@ from repro.tracing.export import (
     export_trace,
     load_trace,
 )
-from repro.tracing.spans import (
-    TRACE_SCHEMA_VERSION,
-    TRACING_MODES,
-    SpanTracer,
-    resolve_tracing_mode,
-)
+from repro.tracing.spans import TRACE_SCHEMA_VERSION, SpanTracer
 
 __all__ = [
     "ATTRIBUTION_COMPONENTS",
     "TRACE_SCHEMA_VERSION",
-    "TRACING_MODES",
     "SpanTracer",
     "attribution_table",
     "critical_path",
@@ -41,6 +35,5 @@ __all__ = [
     "format_critical_path",
     "load_trace",
     "path_attribution",
-    "resolve_tracing_mode",
     "slowest",
 ]

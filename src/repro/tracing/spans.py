@@ -1,13 +1,12 @@
 """Zero-perturbation causal span tracer for the simulated memory path.
 
-:class:`SpanTracer` follows the same discipline as :mod:`repro.obs`: it
-is a pure observer. It schedules no events, mutates no request or
-component state, and only *reads* the timestamps the simulation already
-stamps onto each :class:`~repro.request.MemRequest` (the same event
-vocabulary :func:`repro.validate.timeline_of` exports). A run with
-tracing enabled therefore produces a bit-identical :class:`SimResult`
-outside ``extras["trace"]`` — the fuzzer's ``tracing`` oracle enforces
-this on every dispatch kernel.
+:class:`SpanTracer` is an :class:`~repro.observer.Observer`: it
+schedules no events, mutates no request or component state, and only
+*reads* the timestamps the simulation already stamps onto each
+:class:`~repro.request.MemRequest`. A run with tracing enabled therefore
+produces a bit-identical :class:`SimResult` outside ``extras["trace"]``
+— the fuzzer's ``tracing`` oracle enforces this on every dispatch
+kernel.
 
 Per measured request the tracer records child spans at each component
 boundary:
@@ -20,10 +19,14 @@ boundary:
 - ``mc.queue`` — DRAM controller queuing (``t_mc_enqueue -> t_mc_issue``);
 - ``dram.service`` — bank service (``t_mc_issue -> t_dram_done``).
 
-Alongside the bounded span ring it keeps running attribution sums whose
-arithmetic mirrors ``Chip._complete`` / ``LatencyBreakdown`` term for
-term, so the span-derived queuing share reconciles exactly with the
-Fig 2b parity golden (the ``fig2b_attribution`` registry metric).
+Completed requests are stored in a
+:class:`~repro.validate.TraceRecorder` (the one per-request ring), each
+entry carrying the tracer's in-flight marks; span rows are assembled
+only when read. The snapshot's ``attribution`` sums are the chip's own
+:class:`~repro.system.stats.LatencyBreakdown` sums — the Fig. 2b/Fig. 5
+latency split is computed once, there. The tracer adds only what the
+breakdown does not hold: the LLC hit count and the tiering migration
+wait, which it splits out of the CXL interface time.
 
 In ``"kernel"`` mode the tracer additionally installs a
 :class:`~repro.obs.KernelProfiler` as the simulator's dispatch observer
@@ -35,13 +38,11 @@ event kernel spends its dispatches, identical on every dispatch loop.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.profiler import KernelProfiler
-
-#: Valid tracing modes: disabled, span tracing, span + kernel dispatch counts.
-TRACING_MODES = ("off", "on", "kernel")
+from repro.observer import Observer
+from repro.validate.trace import TraceRecorder
 
 #: In-flight mark-list indices. One small list per live request instead
 #: of a dict — these are the tracer's hottest allocations. ``-1.0``
@@ -53,39 +54,14 @@ _M_TX0, _M_TX1, _M_RX0, _M_RX1 = 3, 4, 5, 6
 TRACE_SCHEMA_VERSION = 1
 
 
-def resolve_tracing_mode(tracing) -> str:
-    """Normalize a ``tracing=`` argument to one of :data:`TRACING_MODES`.
-
-    ``None`` defers to ``$REPRO_TRACING`` (``1``/``on`` enables spans,
-    ``kernel`` adds dispatch counting); booleans map to on/off.
-    """
-    if tracing is None:
-        raw = os.environ.get("REPRO_TRACING", "")
-        if raw in ("", "0", "off", "false"):
-            return "off"
-        if raw in ("1", "on", "true"):
-            return "on"
-        if raw == "kernel":
-            return "kernel"
-        raise ValueError(
-            f"REPRO_TRACING must be one of {TRACING_MODES}, got {raw!r}")
-    if tracing is True:
-        return "on"
-    if tracing is False:
-        return "off"
-    if tracing in TRACING_MODES:
-        return tracing
-    raise ValueError(f"tracing must be one of {TRACING_MODES}, got {tracing!r}")
-
-
-class SpanTracer:
+class SpanTracer(Observer):
     """Opt-in per-request span recorder (see module docstring).
 
-    ``simulate()`` attaches one at the warmup/measurement boundary, the
-    same place the invariant checker and obs collector attach, so every
-    request passing the measurement guard was created with hooks live.
-    The span ring holds the most recent ``span_capacity`` requests;
-    attribution sums cover *every* measured request.
+    ``simulate()`` attaches it at the warmup/measurement boundary with
+    every other observer, so each request passing the measurement guard
+    was created with hooks live. The span ring holds the most recent
+    ``span_capacity`` requests; attribution covers *every* measured
+    request.
     """
 
     def __init__(self, mode: str = "on", span_capacity: int = 512) -> None:
@@ -95,7 +71,6 @@ class SpanTracer:
         if span_capacity < 1:
             raise ValueError(f"span_capacity must be >= 1, got {span_capacity}")
         self.mode = mode
-        self.span_capacity = span_capacity
         #: Distributed trace id (minted at ``repro serve`` submit and
         #: threaded through fleet TaskSpecs); ``None`` for local runs.
         self.trace_id: Optional[str] = None
@@ -104,42 +79,16 @@ class SpanTracer:
         self._mshr: Dict[Tuple[int, int], float] = {}  # (core, op) -> stall t
         #: Dispatch observer read for ``kernel_events`` ("kernel" mode).
         self.dispatch: Optional[KernelProfiler] = None
-        #: Ring of compact completed-request tuples; the span dicts are
-        #: materialized lazily in rows() so only the retained
-        #: ``span_capacity`` rows ever pay for span assembly.
-        self._ring: List[tuple] = []
-        self._next = 0
-        self.recorded = 0                           # rows recorded, incl. evicted
-        # Attribution sums. Same accumulation order and per-element float
-        # arithmetic as Chip._complete -> LatencyBreakdown.record, so
-        # sum_queuing / sum_total is bit-identical to the breakdown's
-        # avg_queuing / avg_miss_latency ratio.
-        self.n = 0
-        self.hits = 0
-        self.misses = 0
-        self.sum_total = 0.0
-        self.sum_onchip = 0.0
-        self.sum_queuing = 0.0
-        self.sum_dram = 0.0
-        self.sum_cxl = 0.0
-        self.sum_migration = 0.0
+        #: Measured requests, each entry carrying its in-flight marks.
+        self.recorder = TraceRecorder(span_capacity)
+        self.hits = 0                               # measured LLC hits
+        self.migration = 0.0                        # migration wait, ns
 
     # -- wiring ----------------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Install hooks on the chip, cores, and CXL channels.
-
-        Called at the measurement boundary (immediately before
-        ``chip.begin_measurement()``); in ``"kernel"`` mode also installs
-        (or shares) the simulator's dispatch observer, which the
-        measurement-phase dispatch loop calls.
-        """
+        """Bind to the chip; in ``"kernel"`` mode also install (or share)
+        the simulator's dispatch observer for the measurement phase."""
         self.chip = chip
-        chip.tracer = self
-        for core in chip.cores:
-            core.tracer = self
-        for port in chip.ports:
-            if hasattr(port, "tracer"):  # CXL channels; bare DDR has no spans
-                port.tracer = self
         if self.mode == "kernel":
             self.dispatch = KernelProfiler().install(sim)
 
@@ -152,7 +101,7 @@ class SpanTracer:
         """Op merged into an in-flight line miss; discard any stall mark."""
         self._mshr.pop((core_id, op_idx), None)
 
-    def on_l2_miss(self, req, now: float) -> None:
+    def on_l2_miss(self, req) -> None:
         """A demand miss left the L2 (``req.t_create`` just stamped)."""
         u = req.user
         if u["prefetch"]:
@@ -189,50 +138,19 @@ class SpanTracer:
             m[_M_RX0] = now
             m[_M_RX1] = arrive
 
-    def on_complete(self, req, now: float) -> None:
+    def on_complete(self, req) -> None:
         """Response arrived back at the L2; close out the request."""
         marks = self._live.pop(req.req_id, None)
         chip = self.chip
-        u = req.user
-        # Mirror of Chip._complete's measurement guard, term for term.
-        if (chip is None or not chip.measuring
-                or req.t_create < chip.meas_start or u["prefetch"]):
+        # The measurement guard of Chip._complete, which feeds chip.lat.
+        if (not chip.measuring or req.t_create < chip.meas_start
+                or req.user["prefetch"]):
             return
-        total = now - req.t_create
-        self.n += 1
         if req.llc_hit:
-            # record_hit: the whole latency is on-chip time.
             self.hits += 1
-            self.sum_total += total
-            self.sum_onchip += total
-        else:
-            self.misses += 1
-            t_issue = req.t_mc_issue
-            queuing = (t_issue - req.t_mc_enqueue
-                       if t_issue >= 0 and req.t_mc_enqueue >= 0 else 0.0)
-            dram = (req.t_dram_done - t_issue
-                    if req.t_dram_done >= 0 and t_issue >= 0 else 0.0)
-            cxl = req.cxl_delay
-            onchip = max(0.0, total - queuing - dram - cxl)
-            self.sum_total += total
-            self.sum_onchip += onchip
-            self.sum_queuing += queuing
-            self.sum_dram += dram
-            self.sum_cxl += cxl
-            if marks is not None and marks[_M_MIGRATION]:
-                self.sum_migration += marks[_M_MIGRATION]
-        # One flat tuple per completed request: span dicts are assembled
-        # lazily in rows(), so eviction from the ring costs nothing.
-        entry = (req.req_id, req.core_id, req.addr, req.calm,
-                 bool(req.llc_hit), req.t_create, req.t_llc_done,
-                 req.t_mc_enqueue, req.t_mc_issue, req.t_dram_done,
-                 now, total, marks)
-        if len(self._ring) < self.span_capacity:
-            self._ring.append(entry)
-        else:
-            self._ring[self._next] = entry
-            self._next = (self._next + 1) % self.span_capacity
-        self.recorded += 1
+        elif marks is not None and marks[_M_MIGRATION]:
+            self.migration += marks[_M_MIGRATION]
+        self.recorder.record(req, marks)
 
     # -- span assembly ---------------------------------------------------------
     @staticmethod
@@ -245,9 +163,10 @@ class SpanTracer:
         legs are causal (a wasted CALM memory fetch does not block
         completion), so the memory-side spans are dropped.
         """
-        (req_id, core, addr, calm, llc_hit, t_create, t_llc_done,
-         t_mc_enqueue, t_mc_issue, t_dram_done, t_complete, total,
+        (req_id, addr, _kind, core, calm, llc_hit, t_create, t_llc_done,
+         t_mc_enqueue, t_mc_issue, t_dram_done, t_complete, _cxl_delay,
          marks) = entry
+        llc_hit = bool(llc_hit)
         spans: List[dict] = []
 
         def add(name: str, component: str, t0: float, t1: float) -> None:
@@ -272,39 +191,43 @@ class SpanTracer:
                 add("cxl.rx", "serialization", marks[_M_RX0], marks[_M_RX1])
         return {"req_id": req_id, "core": core, "addr": addr, "calm": calm,
                 "llc_hit": llc_hit, "t_create": t_create,
-                "t_complete": t_complete, "total": total, "spans": spans}
+                "t_complete": t_complete, "total": t_complete - t_create,
+                "spans": spans}
 
     # -- output ----------------------------------------------------------------
     def rows(self) -> List[dict]:
         """Retained span rows, oldest first."""
-        ring = self._ring[self._next:] + self._ring[:self._next]
-        return [self._row_of(e) for e in ring]
+        return [self._row_of(e) for e in self.recorder.entries()]
+
+    def finish(self, chip, elapsed_ns: float) -> Tuple[str, dict]:
+        return "trace", self.snapshot()
 
     def snapshot(self) -> dict:
         """Deterministic ``extras["trace"]`` payload.
 
         ``attribution`` holds component *sums* in ns over all measured
-        requests (hits included, as on-chip time, exactly like the
-        latency breakdown); ``serialization`` is the CXL interface time
-        net of migration waits, which are broken out separately.
+        requests, read from the chip's latency breakdown (hits count as
+        on-chip time); ``serialization`` is the CXL interface time net
+        of migration waits, which are broken out separately.
         """
-        serialization = self.sum_cxl - self.sum_migration
+        lat = self.chip.lat
+        serialization = lat.sum_cxl - self.migration
         attribution = {
-            "n": self.n,
+            "n": lat.n,
             "hits": self.hits,
-            "misses": self.misses,
-            "total": self.sum_total,
-            "onchip": self.sum_onchip,
-            "queuing": self.sum_queuing,
-            "service": self.sum_dram,
+            "misses": lat.n - self.hits,
+            "total": lat.sum_total,
+            "onchip": lat.sum_onchip,
+            "queuing": lat.sum_queuing,
+            "service": lat.sum_dram,
             "serialization": serialization if serialization > 0.0 else 0.0,
-            "migration": self.sum_migration,
+            "migration": self.migration,
         }
         snap = {
             "schema": TRACE_SCHEMA_VERSION,
             "mode": self.mode,
             "trace_id": self.trace_id,
-            "requests": self.recorded,
+            "requests": self.recorder.recorded,
             "attribution": attribution,
             "spans": self.rows(),
         }

@@ -13,22 +13,21 @@ layers. This package makes accounting bugs loud instead of silent:
   lengths within configured caps, stats-counter consistency, read
   conservation).
 - :class:`TraceRecorder` keeps a ring buffer of completed-request
-  timelines, exportable to JSONL or ``.npy``, so a violation report can
-  name the exact request and its full timeline.
+  timelines, exportable to JSONL or ``.npy``; pass one as
+  ``simulate(..., trace=recorder)`` to capture the measured requests.
 
-Enable with ``simulate(..., validate=True)`` or ``REPRO_VALIDATE=1``
-(collect violations into ``SimResult.extras["invariant_violations"]``),
-or ``validate="strict"`` / ``REPRO_VALIDATE=strict`` (raise
-:class:`InvariantError` on the first violation). When disabled the hot
-path pays only a handful of ``is None`` checks.
+Both are observers (:class:`~repro.observer.Observer`). Enable with
+``simulate(..., validate=True)`` or ``REPRO_VALIDATE=1`` (collect
+violations into ``SimResult.extras["invariant_violations"]``), or
+``validate="strict"`` / ``REPRO_VALIDATE=strict`` (raise
+:class:`InvariantError` on the first violation). When disabled no hook
+site calls the checker.
 """
 
-from repro.validate.checker import (
-    InvariantChecker, InvariantError, Violation, resolve_validate_mode,
-)
+from repro.validate.checker import InvariantChecker, InvariantError, Violation
 from repro.validate.trace import TraceRecorder, timeline_of
 
 __all__ = [
     "InvariantChecker", "InvariantError", "Violation", "TraceRecorder",
-    "timeline_of", "resolve_validate_mode",
+    "timeline_of",
 ]

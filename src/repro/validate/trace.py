@@ -1,10 +1,12 @@
-"""Per-request trace recorder: a ring buffer of completed timelines.
+"""Per-request trace recorder: the one ring buffer of completed timelines.
 
 Each completed :class:`~repro.request.MemRequest` is flattened into one
-row carrying its identity (id, address, kind, core, CALM/LLC outcome)
-and every lifecycle timestamp. The buffer holds the most recent
-``capacity`` rows, so long runs stay bounded while a violation near the
-end of a run can still be matched to its full timeline.
+flat tuple carrying its identity (id, address, kind, core, CALM/LLC
+outcome) and every lifecycle timestamp; row dicts are materialized only
+when read. The buffer holds the most recent ``capacity`` entries, so long
+runs stay bounded while a violation near the end of a run can still be
+matched to its full timeline. The span tracer stores its rows in a
+recorder too, attaching its in-flight marks to each entry.
 
 Export formats: JSONL (one timeline object per line, easy to grep/jq)
 and ``.npy`` (numpy structured array, easy to slice in analysis code).
@@ -19,6 +21,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.exportutil import dispatch_export
+from repro.observer import Observer
 from repro.request import MemRequest
 
 #: Column order of one trace row (and of the exported structured array).
@@ -42,39 +45,57 @@ def timeline_of(req: MemRequest) -> Dict[str, Union[int, float, bool, None]]:
     return req.timeline()
 
 
-class TraceRecorder:
-    """Fixed-capacity ring buffer of completed-request timelines."""
+class TraceRecorder(Observer):
+    """Fixed-capacity ring buffer of completed-request timelines.
+
+    Passed as ``simulate(..., trace=recorder)`` it observes every request
+    completed in the measurement window; its ``finish`` adds nothing to
+    ``extras`` (the caller holds the recorder).
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._rows: List[Dict] = []
+        self._ring: List[tuple] = []
         self._next = 0            # ring write cursor once the buffer is full
         self.recorded = 0         # total record() calls, including evicted
 
-    def record(self, req: MemRequest) -> None:
-        """Append one completed request (evicting the oldest when full)."""
-        row = timeline_of(req)
-        if len(self._rows) < self.capacity:
-            self._rows.append(row)
+    def record(self, req: MemRequest, extra=None) -> None:
+        """Append one completed request (evicting the oldest when full).
+
+        ``extra`` rides along as the entry's last element (see
+        :meth:`entries`); it is not part of the exported timeline.
+        """
+        entry = (req.req_id, req.addr, req.kind, req.core_id, req.calm,
+                 req.llc_hit, req.t_create, req.t_llc_done, req.t_mc_enqueue,
+                 req.t_mc_issue, req.t_dram_done, req.t_complete,
+                 req.cxl_delay, extra)
+        if len(self._ring) < self.capacity:
+            self._ring.append(entry)
         else:
-            self._rows[self._next] = row
+            self._ring[self._next] = entry
             self._next = (self._next + 1) % self.capacity
         self.recorded += 1
 
+    on_complete = record
+
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ring)
+
+    def entries(self) -> List[tuple]:
+        """Retained raw entries, oldest first: :data:`TRACE_FIELDS` + extra."""
+        return self._ring[self._next:] + self._ring[:self._next]
 
     def rows(self) -> List[Dict]:
         """Retained timelines, oldest first."""
-        return self._rows[self._next:] + self._rows[:self._next]
+        return [dict(zip(TRACE_FIELDS, e)) for e in self.entries()]
 
     def find(self, req_id: int) -> Optional[Dict]:
         """The retained timeline of one request, if still in the buffer."""
-        for row in self._rows:
-            if row["req_id"] == req_id:
-                return row
+        for e in self._ring:
+            if e[0] == req_id:
+                return dict(zip(TRACE_FIELDS, e))
         return None
 
     # -- export ----------------------------------------------------------------

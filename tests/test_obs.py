@@ -28,9 +28,9 @@ from repro.obs import (
     parse_prometheus,
     prometheus_text,
     render_report,
-    resolve_obs_mode,
     sparkline,
 )
+from repro.observer import resolve_mode
 from repro.system.config import baseline_config, coaxial_config
 from repro.system.sim import simulate
 from repro.workloads import get_workload
@@ -216,17 +216,17 @@ class TestRegistry:
             "counters": [], "gauges": [], "histograms": []}
 
     def test_resolve_obs_mode(self, monkeypatch):
-        assert resolve_obs_mode(True) == "on"
-        assert resolve_obs_mode(False) == "off"
-        assert resolve_obs_mode("profile") == "profile"
-        assert resolve_obs_mode("2") == "profile"
-        assert resolve_obs_mode("0") == "off"
+        assert resolve_mode("obs", True) == "on"
+        assert resolve_mode("obs", False) == "off"
+        assert resolve_mode("obs", "profile") == "profile"
+        assert resolve_mode("obs", "2") == "profile"
+        assert resolve_mode("obs", "0") == "off"
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert resolve_obs_mode(None) == "off"
+        assert resolve_mode("obs", None) == "off"
         monkeypatch.setenv("REPRO_OBS", "1")
-        assert resolve_obs_mode(None) == "on"
+        assert resolve_mode("obs", None) == "on"
         with pytest.raises(ValueError):
-            resolve_obs_mode("bogus")
+            resolve_mode("obs", "bogus")
 
 
 # -- exporters -----------------------------------------------------------------

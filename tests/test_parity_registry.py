@@ -14,14 +14,6 @@ from repro.system.stats import SimResult
 def mk_result(config="ddr-baseline", workload="wl", ipc=1.0,
               miss=200.0, onchip=30.0, queue=120.0, dram=50.0, cxl=0.0,
               bw=15.0, rd=12.0, wr=3.0, peak=30.0, calm=0.0) -> SimResult:
-    # A span-trace payload whose sums mirror the breakdown averages over
-    # the 100 misses, like a real traced run's would.
-    trace = {"schema": 1, "mode": "on", "trace_id": None, "requests": 100,
-             "attribution": {"n": 100, "hits": 0, "misses": 100,
-                             "total": 100 * miss, "onchip": 100 * onchip,
-                             "queuing": 100 * queue, "service": 100 * dram,
-                             "serialization": 100 * cxl, "migration": 0.0},
-             "spans": []}
     return SimResult(
         config_name=config, workload_name=workload, ipc=ipc, core_ipcs=[ipc],
         instructions=1000, elapsed_ns=1000.0, n_misses=100,
@@ -29,7 +21,7 @@ def mk_result(config="ddr-baseline", workload="wl", ipc=1.0,
         avg_dram=dram, avg_cxl=cxl, p90_miss_latency=2 * miss,
         bandwidth_gbps=bw, read_bandwidth_gbps=rd, write_bandwidth_gbps=wr,
         peak_bandwidth_gbps=peak, llc_mpki=10.0, llc_hit_rate=0.5,
-        calm_fraction=calm, extras={"trace": trace})
+        calm_fraction=calm)
 
 
 def mk_context(workloads=("a", "b")) -> ParityContext:
@@ -130,21 +122,6 @@ class TestRegistry:
         ctx = mk_context()
         m = get_metric("fig2b.queuing_share.ddr-baseline")
         assert m.extract(ctx) == pytest.approx(120.0 / 200.0)
-
-    def test_span_attribution_extractor_uses_trace_payload(self):
-        # Same Fig 2b share, recomputed from the span-tracer sums the
-        # fabricated results carry in extras["trace"].
-        ctx = mk_context()
-        m = get_metric("fig2b.span_attribution.ddr-baseline")
-        assert m.extract(ctx) == pytest.approx(120.0 / 200.0)
-
-    def test_trace_attribution_without_payload_needs_suite(self):
-        ctx = mk_context()
-        for suite in ctx.suites.values():
-            for r in suite.results.values():
-                r.extras.pop("trace", None)
-        with pytest.raises(ValueError, match="no trace payload"):
-            ctx.trace_attribution(BASELINE_CONFIG, "a")
 
 
 class TestParitySuite:

@@ -16,6 +16,7 @@ import pytest
 from repro.engine.kernel import KERNEL_MODES
 from repro.exportutil import dispatch_export
 from repro.fleet import TaskSpec, expand_specs
+from repro.observer import resolve_mode
 from repro.serve.jobs import BadRequest, JobStore, parse_job_request
 from repro.exec.runner import SweepJob, _simulate_job, expand_grid
 from repro.system.config import ALL_CONFIGS
@@ -30,7 +31,6 @@ from repro.tracing import (
     format_critical_path,
     load_trace,
     path_attribution,
-    resolve_tracing_mode,
     slowest,
 )
 from repro.workloads import get_workload
@@ -61,11 +61,11 @@ class TestResolveMode:
         (True, "on"), (False, "off"),
     ])
     def test_explicit(self, arg, want):
-        assert resolve_tracing_mode(arg) == want
+        assert resolve_mode("tracing", arg) == want
 
     def test_invalid_value_raises(self):
         with pytest.raises(ValueError, match="tracing must be one of"):
-            resolve_tracing_mode("spans")
+            resolve_mode("tracing", "spans")
 
     @pytest.mark.parametrize("env,want", [
         ("", "off"), ("0", "off"), ("off", "off"), ("false", "off"),
@@ -73,12 +73,12 @@ class TestResolveMode:
     ])
     def test_env_fallback(self, monkeypatch, env, want):
         monkeypatch.setenv("REPRO_TRACING", env)
-        assert resolve_tracing_mode(None) == want
+        assert resolve_mode("tracing", None) == want
 
     def test_env_invalid_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACING", "bogus")
         with pytest.raises(ValueError, match="REPRO_TRACING"):
-            resolve_tracing_mode(None)
+            resolve_mode("tracing", None)
 
     def test_env_enables_tracing_end_to_end(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACING", "1")
@@ -163,15 +163,23 @@ class TestSnapshot:
         # Clamped residuals can only push the sum above the total.
         assert parts >= att["total"] - 1e-6 * att["total"]
 
-    def test_reconciles_with_latency_breakdown(self, traced, snap):
-        """The span-derived sums must mirror the always-on breakdown:
-        att["queuing"] is avg_queuing over exactly the measured misses,
-        so the Fig 2b queuing share recomputed from spans matches."""
-        att = snap["attribution"]
-        assert att["queuing"] == pytest.approx(
-            traced.avg_queuing * att["misses"], rel=1e-12)
-        assert att["service"] == pytest.approx(
-            traced.avg_dram * att["misses"], rel=1e-12)
+    @pytest.mark.parametrize("config", ["ddr-baseline", "coaxial-4x"])
+    def test_path_attribution_matches_request_timestamps(self, config):
+        """Each retained miss's critical path charges exactly its own MC
+        queuing and DRAM service windows, read back from the recorder the
+        rows are stored in (non-CALM misses: their legs never overlap)."""
+        tracer = SpanTracer()
+        run(config=config, ops=400, tracing=tracer)
+        checked = 0
+        for row in tracer.rows():
+            if row["llc_hit"] or row["calm"]:
+                continue
+            tl = tracer.recorder.find(row["req_id"])
+            att = path_attribution(row)
+            assert att["queuing"] == tl["t_mc_issue"] - tl["t_mc_enqueue"]
+            assert att["service"] == tl["t_dram_done"] - tl["t_mc_issue"]
+            checked += 1
+        assert checked > 0
 
     def test_ring_bounds_memory(self):
         r = run(ops=600, tracing="on")

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.observer import resolve_mode
 from repro.request import MemRequest, READ
 from repro.validate import (
-    InvariantChecker, InvariantError, TraceRecorder, resolve_validate_mode,
-    timeline_of,
+    InvariantChecker, InvariantError, TraceRecorder, timeline_of,
 )
 
 
@@ -39,25 +39,25 @@ def make_hit_req(t0=100.0):
 class TestResolveValidateMode:
     def test_arg_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "strict")
-        assert resolve_validate_mode(False) == "off"
-        assert resolve_validate_mode("off") == "off"
-        assert resolve_validate_mode(True) == "on"
-        assert resolve_validate_mode("strict") == "strict"
+        assert resolve_mode("validate", False) == "off"
+        assert resolve_mode("validate", "off") == "off"
+        assert resolve_mode("validate", True) == "on"
+        assert resolve_mode("validate", "strict") == "strict"
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-        assert resolve_validate_mode(None) == "off"
+        assert resolve_mode("validate", None) == "off"
         for off in ("", "0", "off", "false", "no"):
             monkeypatch.setenv("REPRO_VALIDATE", off)
-            assert resolve_validate_mode(None) == "off"
+            assert resolve_mode("validate", None) == "off"
         monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert resolve_validate_mode(None) == "on"
+        assert resolve_mode("validate", None) == "on"
         monkeypatch.setenv("REPRO_VALIDATE", "strict")
-        assert resolve_validate_mode(None) == "strict"
+        assert resolve_mode("validate", None) == "strict"
 
     def test_bad_arg(self):
         with pytest.raises(ValueError):
-            resolve_validate_mode("verbose")
+            resolve_mode("validate", "verbose")
 
 
 class TestPerRequestChecks:
@@ -166,7 +166,7 @@ class TestPerRequestChecks:
     def test_read_conservation(self):
         ck = InvariantChecker()
         req = make_miss_req()
-        ck.on_mem_submit(req)
+        ck.on_mem_submit(req, req.t_create, 0.0)
         # no response recorded -> finish flags the imbalance
 
         class _Chip:
