@@ -426,24 +426,16 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
     else:
         workloads = _parse_list(args.workloads)
     seeds = [int(s) for s in _parse_list(args.seeds)]
-    trace_id = None
-    if args.tracing and args.tracing != "off":
-        # Submission is the root of the causal chain: one id for the whole
-        # grid, recoverable from every worker-side span export.
-        import uuid
-        trace_id = uuid.uuid4().hex
     try:
         specs = expand_specs(configs, workloads, ops=args.ops, seeds=seeds,
                              validate=args.validate, obs=args.obs,
-                             kernel=args.kernel, tracing=args.tracing,
-                             trace_id=trace_id)
+                             kernel=args.kernel, tracing=args.tracing)
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
 
     client = FleetClient(args.broker)
-    print(f"fleet sweep: {len(specs)} job(s) -> {client.broker_url}"
-          + (f" (trace {trace_id})" if trace_id else ""))
+    print(f"fleet sweep: {len(specs)} job(s) -> {client.broker_url}")
 
     def tick(done: int, total: int) -> None:
         if not args.quiet:
@@ -452,6 +444,10 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         ids = client.submit(specs)
+        if args.tracing and args.tracing != "off":
+            # The broker minted one id for the grid at submit; every
+            # worker-side span export carries it.
+            print(f"fleet sweep: trace {client.last_trace_id}")
         client.wait(ids, timeout_s=args.timeout, progress=tick)
         results = client.results(ids)
         status = client.tasks()
@@ -1064,13 +1060,16 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--port", type=int, default=8723,
                     help="listen port (0 = ephemeral; default 8723)")
     pe.add_argument("--pool-workers", type=int, default=None,
-                    help="process-pool size per active job "
+                    help="process-pool size of each local slot, and the "
+                         "tasks it leases at once; 1 runs inline "
                          "(default: REPRO_JOBS or CPU count)")
     pe.add_argument("--max-active", type=int, default=1,
-                    help="concurrent running jobs (each owns a pool)")
+                    help="local slots leasing from the broker "
+                         "(each owns a pool)")
     pe.add_argument("--job-timeout", type=float, default=300.0,
-                    help="per-task deadline in seconds, from submission "
-                         "(default 300; hung workers are replaced)")
+                    help="per-task deadline in seconds, from the lease "
+                         "(default 300; hung pool workers are killed, "
+                         "inline attempts interrupted)")
     pe.add_argument("--retries", type=int, default=1,
                     help="extra attempts per failed/timed-out task")
     pe.add_argument("--max-queue", type=int, default=256,
@@ -1157,8 +1156,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="invariant auditing per job")
     pfls.add_argument("--tracing", default=None,
                       choices=["off", "on", "kernel"],
-                      help="per-job causal span tracing; mints one trace id "
-                           "for the grid and stamps every task with it")
+                      help="per-job causal span tracing; prints the trace id "
+                           "the broker stamps on every task of the grid")
     pfls.add_argument("--obs", default=None, choices=["off", "on", "profile"],
                       help="per-job observability; enables exact fleet "
                            "quantile merging in the benchmark record")

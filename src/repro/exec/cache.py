@@ -230,3 +230,11 @@ class ResultCache:
                 except OSError:
                     pass
         return n
+
+
+def open_cache(cache_dir: Optional[str] = None,
+               no_cache: bool = False) -> Optional[ResultCache]:
+    """The cache of a server, broker or worker process (``None``: off)."""
+    if no_cache or not disk_cache_enabled():
+        return None
+    return ResultCache(root=Path(cache_dir) if cache_dir else None)

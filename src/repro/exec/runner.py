@@ -1,12 +1,14 @@
 """Process-pool execution: a generic task fan-out plus the sweep runner.
 
 :class:`PoolRunner` is the generic layer: a list of picklable items is
-fanned across :class:`ProcessPoolExecutor` workers through one module-level
+fanned across process-pool workers through one module-level
 worker function. Results come back in item order regardless of completion
-order, each item gets a deadline measured from its own submission plus
+order, each attempt gets a deadline measured from its own start plus
 bounded retries (a hung worker is killed and replaced, never left occupying
 a pool slot), and ``workers=1`` runs everything inline (no pool, no
 pickling — monkeypatches apply, which the fuzzer's mutation tests rely on).
+The pool path runs on :class:`~repro.exec.attempts.AttemptPool`, which
+``repro serve``'s slots use too.
 
 :class:`SweepRunner` specializes it for simulation sweeps — ``(SystemConfig,
 workload, ops, seed)`` jobs — adding the on-disk
@@ -22,12 +24,11 @@ in-process (see ``tests/test_exec_determinism.py``).
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time as _time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as _fut_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import ResultCache
@@ -178,53 +179,6 @@ class TaskOutcome:
     error: Optional[str] = None
 
 
-@dataclass
-class _Attempt:
-    """One in-flight pool submission: its future plus timing bookkeeping."""
-
-    future: Future
-    submitted: float
-    #: Absolute ``perf_counter`` deadline (``None`` when no timeout is set).
-    deadline: Optional[float] = None
-    #: ``perf_counter`` at completion, stamped by a done-callback so wall
-    #: time is completion-relative — never inflated by time the settle loop
-    #: spent blocked on earlier indices.
-    done_at: Optional[float] = field(default=None)
-
-    def mark_done(self, _fut: Future) -> None:
-        self.done_at = _time.perf_counter()
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool that may hold hung workers, without blocking.
-
-    ``shutdown(cancel_futures=True)`` drops queued work items, but a
-    *running* hung task would still wedge ``shutdown(wait=True)`` — and
-    interpreter exit — indefinitely, so the worker processes themselves are
-    killed. The pool is being discarded entirely; losing its in-flight
-    state is the point.
-
-    The process handles must be captured *before* ``shutdown()``: it nulls
-    out ``_processes`` unconditionally, even with ``wait=False``. SIGKILL
-    (not SIGTERM) because a worker deep in a compute loop must die now —
-    once its processes are dead the executor's manager thread observes the
-    broken pool and unwinds, so the atexit join cannot block exit.
-    """
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for p in procs:
-        try:
-            p.kill()
-        except Exception:
-            pass
-    grace = _time.perf_counter() + 5.0
-    for p in procs:
-        try:
-            p.join(timeout=max(0.0, grace - _time.perf_counter()))
-        except Exception:
-            pass
-
-
 class PoolRunner:
     """Fan picklable items across a process pool, one worker function each.
 
@@ -239,15 +193,15 @@ class PoolRunner:
         Pool size (default: :func:`default_workers`). ``1`` runs items
         inline in this process — no pool, no pickling.
     job_timeout_s:
-        Per-attempt deadline in seconds, measured from *submission* — not
-        from when the settle loop happens to wait on the item — so an item
-        that exceeds its budget is timed out on schedule even while the
-        loop is blocked on an earlier index. A timed-out attempt counts as
-        a failure; a retry is resubmitted with a fresh deadline. If the
-        timed-out task was already running, its worker process is replaced
-        (the pool is torn down and rebuilt; unaffected in-flight items are
-        resubmitted without being charged an attempt), so hung workers can
-        neither occupy a slot nor wedge pool shutdown.
+        Per-attempt deadline in seconds, measured from the attempt's start
+        (each pool worker takes the next item when it frees up, so no item
+        waits in a queue on its deadline). A timed-out attempt counts as a
+        failure; a retry gets a fresh deadline. If it was still running,
+        the pool is killed and rebuilt (see
+        :meth:`~repro.exec.attempts.AttemptPool.stop`) and the attempts it
+        took down start over without being charged, so hung workers can
+        neither occupy a slot nor wedge pool shutdown. Inline runs
+        (``workers == 1``) are not timed out.
     retries:
         Extra attempts after the first failure/timeout.
     progress:
@@ -305,108 +259,39 @@ class PoolRunner:
 
     def _run_pool(self, items: Sequence[Any],
                   results: List[Optional[TaskOutcome]]) -> None:
+        # Imported here so the event loop and the pool machinery load only
+        # when a pool runs, not with every ``import repro.exec``.
+        import asyncio
+
+        from repro.exec.attempts import AttemptPool, run_lanes
+
+        todo = iter(enumerate(items))
+        timeout = (math.inf if self.job_timeout_s is None
+                   else self.job_timeout_s)
         done = 0
-        total = len(items)
-        attempts: Dict[int, int] = {i: 0 for i in range(total)}
-        timeout = self.job_timeout_s
-        pending: Dict[int, _Attempt] = {}
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        # True once a *running* task has been abandoned on this pool: its
-        # worker is presumed hung, so the pool must not receive new work
-        # and must not be shut down with wait=True.
-        pool_dirty = False
 
-        def submit(i: int) -> None:
-            att = _Attempt(future=pool.submit(self.worker_fn, items[i]),
-                           submitted=_time.perf_counter())
-            if timeout is not None:
-                att.deadline = att.submitted + timeout
-            att.future.add_done_callback(att.mark_done)
-            pending[i] = att
+        async def lane(pool: AttemptPool) -> None:
+            nonlocal done
+            for i, item in todo:
+                out = TaskOutcome(index=i, item=item)
+                while out.attempts <= self.retries:
+                    out.attempts += 1
+                    t0 = _time.perf_counter()
+                    fut = await pool.attempt(item, timeout)
+                    if fut.cancelled() or not fut.done():
+                        pool.stop(fut)
+                        out.error = f"timeout after {self.job_timeout_s}s"
+                    elif fut.exception() is not None:
+                        err = fut.exception()
+                        out.error = f"{type(err).__name__}: {err}"
+                    else:
+                        out.value = fut.result()
+                        out.wall_s = _time.perf_counter() - t0
+                        out.error = None
+                        break
+                done = self._settle(out, results, done, len(items))
 
-        try:
-            for i in range(total):
-                submit(i)
-            while pending:
-                # Settle every completed item, in index order for
-                # deterministic retry/progress behaviour; items still *run*
-                # concurrently across the pool.
-                for i in sorted(pending):
-                    att = pending[i]
-                    if not att.future.done():
-                        continue
-                    del pending[i]
-                    attempts[i] += 1
-                    err = att.future.exception()
-                    if err is None:
-                        wall = ((att.done_at or _time.perf_counter())
-                                - att.submitted)
-                        done = self._settle(
-                            TaskOutcome(index=i, item=items[i],
-                                        value=att.future.result(),
-                                        wall_s=wall, attempts=attempts[i]),
-                            results, done, total)
-                    elif attempts[i] <= self.retries:
-                        submit(i)
-                    else:
-                        done = self._settle(
-                            TaskOutcome(index=i, item=items[i],
-                                        attempts=attempts[i],
-                                        error=f"{type(err).__name__}: {err}"),
-                            results, done, total)
-                # Expire deadlines, also in index order. Each item's clock
-                # started at its own submission.
-                now = _time.perf_counter()
-                respawn: List[int] = []
-                for i in sorted(pending):
-                    att = pending[i]
-                    if (att.deadline is None or now < att.deadline
-                            or att.future.done()):
-                        continue
-                    del pending[i]
-                    attempts[i] += 1
-                    if not att.future.cancel():
-                        pool_dirty = True       # already running: hung worker
-                    if attempts[i] <= self.retries:
-                        respawn.append(i)
-                    else:
-                        done = self._settle(
-                            TaskOutcome(index=i, item=items[i],
-                                        attempts=attempts[i],
-                                        error=f"timeout after {timeout}s"),
-                            results, done, total)
-                # A dirty pool gets replaced before anything is resubmitted:
-                # the hung worker would otherwise keep occupying a slot.
-                # Completed-but-unsettled futures keep their results; live
-                # ones are casualties of the rebuild and are resubmitted
-                # without being charged an attempt.
-                if pool_dirty and (respawn or pending):
-                    refresh = [i for i in sorted(pending)
-                               if not pending[i].future.done()]
-                    for i in refresh:
-                        del pending[i]
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
-                    pool_dirty = False
-                    for i in refresh:
-                        submit(i)
-                for i in respawn:
-                    submit(i)
-                # Block until something completes or the nearest deadline.
-                if not pending or any(a.future.done()
-                                      for a in pending.values()):
-                    continue
-                wait_s = None
-                if timeout is not None:
-                    nearest = min(a.deadline for a in pending.values())
-                    wait_s = max(0.0, nearest - _time.perf_counter())
-                _fut_wait([a.future for a in pending.values()],
-                          timeout=wait_s, return_when=FIRST_COMPLETED)
-        finally:
-            if pool_dirty:
-                _kill_pool(pool)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
+        asyncio.run(run_lanes(AttemptPool(self.worker_fn, self.workers), lane))
 
 
 class SweepRunner:

@@ -1,14 +1,15 @@
-"""The fleet broker: a work-queue that leases tasks to remote workers.
+"""The fleet broker: a work-queue that leases tasks to workers.
 
 :class:`FleetBroker` is the pure state machine — no sockets — so every
-failure path is unit-testable with an injected clock. Tasks are queued in
-submission order and *leased* (not handed over): a lease carries a
-deadline, and a task whose lease expires without a settle is requeued and
-offered to the next worker that asks — which is what makes the fleet
-work-stealing: a dead, hung, or slow worker's tasks migrate to its peers
-automatically. Attempt accounting matches :class:`~repro.exec.runner.
-PoolRunner`: each lease is one attempt, and a task is failed once
-``1 + retries`` attempts are exhausted.
+failure path is unit-testable with an injected clock. It is the one job
+plane of the repo: ``repro fleet broker`` puts it behind HTTP for remote
+workers, and ``repro serve`` runs every job as broker tasks leased by
+in-process slots. Tasks are queued by ``(-priority, enqueue order)`` and
+*leased* (not handed over): a lease carries a deadline, and a task whose
+lease expires without a settle is requeued and offered to the next worker
+that asks — which is what makes the fleet work-stealing: a dead, hung, or
+slow worker's tasks migrate to its peers automatically. Each lease is one
+attempt, and a task is failed once ``1 + retries`` attempts are exhausted.
 
 Settlement is idempotent and commutative. Results are content-identical
 no matter which worker produced them (simulation is deterministic and
@@ -18,57 +19,79 @@ deadline but finished anyway, or two workers racing after a requeue — is
 counted and dropped, and :meth:`FleetBroker.results` always returns
 results in task order regardless of lease or settle interleaving.
 
-:class:`BrokerApp` is the HTTP facade over one broker, built on the same
-:mod:`repro.serve.http` layer the job server uses; ``run_broker`` is the
-blocking ``repro fleet broker`` entry point.
+Per-state counts are incremental and the queue and lease deadlines are
+lazy-deletion heaps, so no operation scans the tasks retained; a caller
+drops tasks it no longer needs with :meth:`FleetBroker.forget`.
+
+:class:`BrokerApp` is the HTTP facade over one broker, built on the
+:mod:`repro.fleet.http` layer the job server uses too; ``run_broker`` is
+the blocking ``repro fleet broker`` entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
-import signal
+import dataclasses
+import heapq
+import math
 import time
+import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, open_cache
 from repro.exec.runner import JobResult, SweepJob
+from repro.fleet.http import HttpApp, HttpError, Response, run_until_signalled
 from repro.fleet.protocol import TaskSpec, result_from_wire, result_to_wire
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricRegistry
 
-__all__ = ["BrokerApp", "BrokerMetrics", "FleetBroker", "Task", "run_broker"]
+__all__ = ["BrokerApp", "BrokerMetrics", "FleetBroker", "Task", "run_broker",
+           "TASK_STATES", "TERMINAL"]
 
 #: Task lifecycle. ``queued -> leased -> done|failed``; an expired or
 #: error-settled lease moves the task back to ``queued`` while attempts
 #: remain.
 TASK_STATES = ("queued", "leased", "done", "failed")
+TERMINAL = ("done", "failed")
 
 
 class BrokerMetrics:
-    """Broker-process metrics on the shared obs registry machinery."""
+    """Task metrics of one broker, named ``<namespace>_<metric>``.
+
+    ``repro serve`` subclasses this in its own namespace (see
+    :class:`~repro.serve.server.ServerMetrics`), so its broker counts into
+    the server's registry. Cache totals are lifted from the shared
+    :class:`ResultCache` at scrape time rather than counted per settle.
+    """
+
+    namespace = "repro_fleet"
+    #: Name of the queued-task gauge. The fleet's queue holds tasks; the
+    #: server keeps ``queue_depth`` for queued *jobs* and renames this.
+    queued_tasks_name = "queue_depth"
 
     def __init__(self, registry: Optional[MetricRegistry] = None):
         self.registry = registry if registry is not None else MetricRegistry()
-        r = self.registry
+        r, ns = self.registry, self.namespace
         self.started_at = time.time()
-        self.tasks_submitted = r.counter("repro_fleet_tasks_submitted_total")
-        self.tasks_leased = r.counter("repro_fleet_tasks_leased_total")
-        self.tasks_settled = r.counter("repro_fleet_tasks_settled_total")
-        self.tasks_cached = r.counter("repro_fleet_tasks_cached_total")
-        self.tasks_requeued = r.counter("repro_fleet_tasks_requeued_total")
-        self.tasks_failed = r.counter("repro_fleet_tasks_failed_total")
-        self.duplicate_settles = r.counter("repro_fleet_duplicate_settles_total")
-        self.queue_depth = r.gauge("repro_fleet_queue_depth")
-        self.leased = r.gauge("repro_fleet_leased_tasks")
-        self.workers_seen = r.gauge("repro_fleet_workers_seen")
-        self.task_wall = r.histogram("repro_fleet_task_wall_seconds")
-        self._cache_hits = r.counter("repro_fleet_cache_hits_total")
-        self._cache_misses = r.counter("repro_fleet_cache_misses_total")
-        self._cache_stores = r.counter("repro_fleet_cache_stores_total")
-        self._uptime = r.gauge("repro_fleet_uptime_seconds")
+        self.tasks_submitted = r.counter(f"{ns}_tasks_submitted_total")
+        self.tasks_leased = r.counter(f"{ns}_tasks_leased_total")
+        self.tasks_settled = r.counter(f"{ns}_tasks_settled_total")
+        self.tasks_cached = r.counter(f"{ns}_tasks_cached_total")
+        self.tasks_requeued = r.counter(f"{ns}_tasks_requeued_total")
+        self.tasks_failed = r.counter(f"{ns}_tasks_failed_total")
+        self.duplicate_settles = r.counter(f"{ns}_duplicate_settles_total")
+        self.queued_tasks = r.gauge(f"{ns}_{self.queued_tasks_name}")
+        self.leased = r.gauge(f"{ns}_leased_tasks")
+        self.workers_seen = r.gauge(f"{ns}_workers_seen")
+        self.task_wall = r.histogram(f"{ns}_task_wall_seconds")
+        self._cache_hits = r.counter(f"{ns}_cache_hits_total")
+        self._cache_misses = r.counter(f"{ns}_cache_misses_total")
+        self._cache_stores = r.counter(f"{ns}_cache_stores_total")
+        self._uptime = r.gauge(f"{ns}_uptime_seconds")
 
     def render(self, cache: Optional[ResultCache] = None) -> str:
+        """The ``/metrics`` body: refresh derived values, then export."""
         self._uptime.set(time.time() - self.started_at)
         if cache is not None:
             counts = cache.counters()
@@ -78,13 +101,14 @@ class BrokerMetrics:
         return prometheus_text({"metrics": self.registry.snapshot()})
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
     """One unit of fleet work and its full lifecycle state."""
 
     id: int
     spec: TaskSpec
     job: SweepJob                       # materialized once, at submission
+    priority: int = 0
     state: str = "queued"
     attempts: int = 0                   # leases granted (cf. PoolRunner)
     worker: Optional[str] = None        # current/last lease holder
@@ -93,6 +117,13 @@ class Task:
     settles: int = 0                    # settle messages received (any kind)
     result: Optional[JobResult] = None
     error: Optional[str] = None
+    #: Failed because its last lease expired unsettled. ``repro serve``
+    #: does not renew a running attempt's lease, so there this means the
+    #: task ran past its deadline.
+    timed_out: bool = False
+    #: Called with the task after each of its state changes (the submit
+    #: caller's hook; ``repro serve`` advances its jobs from it).
+    on_change: Optional[Callable[["Task"], None]] = None
 
     def summary(self) -> Dict[str, Any]:
         return {"id": self.id, "label": self.spec.label(), "state": self.state,
@@ -116,11 +147,14 @@ class FleetBroker:
     lease_s:
         Lease duration granted per task. Workers renew mid-task; a lease
         that expires unrenewed is presumed dead and requeued.
+        ``math.inf`` grants leases that never expire.
     retries:
         Extra attempts after the first lease (expiry and error settles
         both consume attempts).
     now_fn:
         Monotonic clock, injectable for deterministic expiry tests.
+    metrics:
+        Where to count (default: a fresh :class:`BrokerMetrics`).
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
@@ -136,19 +170,62 @@ class FleetBroker:
         self.metrics = metrics if metrics is not None else BrokerMetrics()
         self.closing = False
         self._tasks: Dict[int, Task] = {}
-        self._queue: List[int] = []      # FIFO of queued task ids (lazy skip)
+        self._counts = dict.fromkeys(TASK_STATES, 0)
+        #: ``(-priority, enqueue seq, task id)``; entries of tasks that left
+        #: the queue some other way (settled, forgotten) are skipped on pop.
+        self._queue: List[Tuple[int, int, int]] = []
+        self._seq = 0
+        #: ``(deadline, task id)``; entries whose task was settled, renewed
+        #: or forgotten are skipped on pop.
+        self._deadlines: List[Tuple[float, int]] = []
         self._next_id = 1
         self._workers: Set[str] = set()
         self._changed: Optional[asyncio.Event] = None
 
+    # -- state transitions -----------------------------------------------------
+    def _move(self, task: Task, state: str) -> None:
+        """The one place a task changes state: counts, gauges, hook."""
+        self._counts[task.state] -= 1
+        self._counts[state] += 1
+        task.state = state
+        self.metrics.queued_tasks.set(self._counts["queued"])
+        self.metrics.leased.set(self._counts["leased"])
+        if task.on_change is not None:
+            task.on_change(task)
+
+    def _enqueue(self, task: Task) -> None:
+        self._seq += 1
+        heapq.heappush(self._queue, (-task.priority, self._seq, task.id))
+
+    def _requeue(self, task: Task) -> None:
+        task.lease_deadline = None
+        task.requeues += 1
+        self.metrics.tasks_requeued.inc()
+        self._enqueue(task)
+        self._move(task, "queued")
+
     # -- submission ------------------------------------------------------------
-    def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
-        """Queue tasks; cache hits settle instantly without a lease."""
+    def submit(self, specs: Sequence[TaskSpec], priority: int = 0,
+               on_change: Optional[Callable[[Task], None]] = None,
+               ) -> List[int]:
+        """Queue tasks; cache hits settle instantly without a lease.
+
+        This is where trace ids are minted: one per call, stamped onto
+        every spec that carries none. ``priority`` orders the queue
+        (higher first, FIFO within a priority); ``on_change`` is called
+        after every state change of the submitted tasks, including the
+        cache-hit settles inside this call.
+        """
+        trace_id = uuid.uuid4().hex
         ids: List[int] = []
         for spec in specs:
-            task = Task(id=self._next_id, spec=spec, job=spec.build_job())
+            if spec.trace_id is None:
+                spec = dataclasses.replace(spec, trace_id=trace_id)
+            task = Task(id=self._next_id, spec=spec, job=spec.build_job(),
+                        priority=priority, on_change=on_change)
             self._next_id += 1
             self._tasks[task.id] = task
+            self._counts["queued"] += 1
             ids.append(task.id)
             self.metrics.tasks_submitted.inc()
             hit = None
@@ -157,37 +234,42 @@ class FleetBroker:
                 hit = self.cache.get(job.config, job.workload, job.ops,
                                      job.seed)
             if hit is not None:
-                task.state = "done"
                 task.result = JobResult(
                     job=task.job, result=hit, cached=True,
                     events=int(hit.extras.get("events_fired", 0)))
                 self.metrics.tasks_settled.inc()
                 self.metrics.tasks_cached.inc()
+                self._move(task, "done")
             else:
-                self._queue.append(task.id)
-        self._refresh_gauges()
+                self._enqueue(task)
+        self.metrics.queued_tasks.set(self._counts["queued"])
         self._notify()
         return ids
 
     # -- leasing ---------------------------------------------------------------
     def lease(self, worker: str, max_tasks: int = 1) -> List[Task]:
-        """Grant up to ``max_tasks`` leases to ``worker`` (FIFO order)."""
+        """Grant up to ``max_tasks`` leases to ``worker`` (queue order)."""
         self.expire()
-        self._workers.add(worker)
-        self.metrics.workers_seen.set(len(self._workers))
+        if worker not in self._workers:
+            self._workers.add(worker)
+            self.metrics.workers_seen.set(len(self._workers))
         granted: List[Task] = []
         while self._queue and len(granted) < max(1, max_tasks):
-            task = self._tasks[self._queue.pop(0)]
-            if task.state != "queued":
-                continue                 # settled or failed while queued
-            task.state = "leased"
+            task = self._tasks.get(heapq.heappop(self._queue)[2])
+            if task is None or task.state != "queued":
+                continue                 # settled or forgotten while queued
             task.worker = worker
             task.attempts += 1
-            task.lease_deadline = self.now_fn() + self.lease_s
+            self._set_deadline(task, self.now_fn() + self.lease_s)
             self.metrics.tasks_leased.inc()
             granted.append(task)
-        self._refresh_gauges()
+            self._move(task, "leased")
         return granted
+
+    def _set_deadline(self, task: Task, deadline: float) -> None:
+        task.lease_deadline = deadline
+        if deadline != math.inf:         # an endless lease never expires
+            heapq.heappush(self._deadlines, (deadline, task.id))
 
     def renew(self, worker: str, task_ids: Sequence[int]) -> int:
         """Extend the lease deadline of tasks still held by ``worker``."""
@@ -197,7 +279,7 @@ class FleetBroker:
             task = self._tasks.get(tid)
             if (task is not None and task.state == "leased"
                     and task.worker == worker):
-                task.lease_deadline = now + self.lease_s
+                self._set_deadline(task, now + self.lease_s)
                 renewed += 1
         return renewed
 
@@ -205,24 +287,30 @@ class FleetBroker:
         """Requeue (or fail) every task whose lease deadline has passed."""
         now = self.now_fn()
         moved: List[int] = []
-        for task in self._tasks.values():
-            if (task.state != "leased" or task.lease_deadline is None
-                    or now < task.lease_deadline):
-                continue
-            moved.append(task.id)
+        while self._deadlines and self._deadlines[0][0] <= now:
+            deadline, tid = heapq.heappop(self._deadlines)
+            task = self._tasks.get(tid)
+            if (task is None or task.state != "leased"
+                    or task.lease_deadline != deadline):
+                continue                 # settled, renewed or forgotten
+            moved.append(tid)
             if task.attempts >= 1 + self.retries:
+                task.timed_out = True
                 self._fail(task, f"lease expired after {task.attempts} "
                                  f"attempt(s) ({self.lease_s}s each)")
             else:
-                task.state = "queued"
-                task.lease_deadline = None
-                task.requeues += 1
-                self._queue.append(task.id)
-                self.metrics.tasks_requeued.inc()
+                self._requeue(task)
         if moved:
-            self._refresh_gauges()
             self._notify()
         return moved
+
+    async def expire_forever(self) -> None:
+        """Requeue expired leases even while no worker is calling in."""
+        tick = max(0.05, min(1.0, self.lease_s / 4.0))
+        while True:
+            nearest = self._deadlines[0][0] if self._deadlines else math.inf
+            await asyncio.sleep(max(0.0, min(tick, nearest - self.now_fn())))
+            self.expire()
 
     # -- settlement ------------------------------------------------------------
     def settle(self, worker: str, task_id: int,
@@ -236,11 +324,9 @@ class FleetBroker:
         ``"requeued"`` / ``"failed"`` — an error settle consumed an
         attempt and the task was requeued or exhausted.
         """
-        task = self._tasks.get(task_id)
-        if task is None:
-            raise KeyError(f"unknown task {task_id}")
+        task = self.task(task_id)
         task.settles += 1
-        if task.state in ("done", "failed"):
+        if task.state in TERMINAL:
             self.metrics.duplicate_settles.inc()
             return "duplicate"
         if error is not None:
@@ -251,22 +337,25 @@ class FleetBroker:
             if task.state != "leased" or task.worker != worker:
                 self.metrics.duplicate_settles.inc()
                 return "stale"
-            disposition = self._settle_error(task, worker, error)
+            disposition = self._settle_error(task, error)
         else:
             if payload is None:
                 raise ValueError("settle needs a result payload or an error")
             disposition = self._settle_ok(task, worker, payload)
-        self._refresh_gauges()
         self._notify()
         return disposition
 
     def _settle_ok(self, task: Task, worker: str,
                    payload: Dict[str, Any]) -> str:
+        # A settle that raced a requeue is still a completion: first wins
+        # (its queue entry is skipped when popped).
         jr = result_from_wire(task.job, payload)
-        # A settle that raced a requeue is still a completion: first wins.
-        if task.id in self._queue and task.state == "queued":
-            self._queue.remove(task.id)
-        task.state = "done"
+        # Store first: if the write raises, the task is untouched, so the
+        # caller can settle it as an error (or let its lease expire).
+        if (self.cache is not None and jr.result is not None
+                and not payload.get("stored", False)):
+            self.cache.put(task.job.config, task.job.workload, task.job.ops,
+                           task.job.seed, jr.result)
         task.worker = worker
         task.lease_deadline = None
         task.result = jr
@@ -275,30 +364,36 @@ class FleetBroker:
             self.metrics.tasks_cached.inc()
         if jr.wall_s > 0:
             self.metrics.task_wall.record(jr.wall_s)
-        if (self.cache is not None and jr.result is not None
-                and not payload.get("stored", False)):
-            self.cache.put(task.job.config, task.job.workload, task.job.ops,
-                           task.job.seed, jr.result)
+        self._move(task, "done")
         return "ok"
 
-    def _settle_error(self, task: Task, worker: str, error: str) -> str:
-        task.lease_deadline = None
+    def _settle_error(self, task: Task, error: str) -> str:
         if task.attempts >= 1 + self.retries:
             self._fail(task, error)
             return "failed"
-        task.state = "queued"
-        task.requeues += 1
-        self._queue.append(task.id)
-        self.metrics.tasks_requeued.inc()
+        self._requeue(task)
         return "requeued"
 
     def _fail(self, task: Task, error: str) -> None:
-        task.state = "failed"
         task.lease_deadline = None
         task.error = error
         task.result = JobResult(job=task.job, result=None,
                                 attempts=task.attempts, error=error)
         self.metrics.tasks_failed.inc()
+        self._move(task, "failed")
+
+    def forget(self, task_ids: Sequence[int]) -> None:
+        """Drop tasks (any state) and their results; unknown ids are ignored.
+
+        A forgotten queued task is never leased, and a settle for a
+        forgotten task raises ``KeyError`` like any unknown id.
+        """
+        for tid in task_ids:
+            task = self._tasks.pop(tid, None)
+            if task is not None:
+                self._counts[task.state] -= 1
+        self.metrics.queued_tasks.set(self._counts["queued"])
+        self.metrics.leased.set(self._counts["leased"])
 
     # -- inspection ------------------------------------------------------------
     def task(self, task_id: int) -> Task:
@@ -307,18 +402,19 @@ class FleetBroker:
             raise KeyError(f"unknown task {task_id}")
         return task
 
+    def tasks(self) -> List[Task]:
+        """Every retained task, in submission order."""
+        return list(self._tasks.values())
+
     def counts(self) -> Dict[str, int]:
-        by_state = {s: 0 for s in TASK_STATES}
-        for task in self._tasks.values():
-            by_state[task.state] += 1
         return {"total": len(self._tasks), "workers": len(self._workers),
-                **by_state}
+                **self._counts}
 
     def done(self, task_ids: Optional[Sequence[int]] = None) -> bool:
         """Whether every named task (default: all) reached a terminal state."""
-        tasks = ([self.task(t) for t in task_ids] if task_ids is not None
-                 else self._tasks.values())
-        return all(t.state in ("done", "failed") for t in tasks)
+        if task_ids is None:
+            return self._counts["queued"] + self._counts["leased"] == 0
+        return all(self.task(t).state in TERMINAL for t in task_ids)
 
     def results(self, task_ids: Optional[Sequence[int]] = None) -> List[JobResult]:
         """Ordered results (task order == submission order, always).
@@ -353,15 +449,10 @@ class FleetBroker:
             self._changed = asyncio.Event()
         return self._changed
 
-    def _refresh_gauges(self) -> None:
-        counts = self.counts()
-        self.metrics.queue_depth.set(counts["queued"])
-        self.metrics.leased.set(counts["leased"])
-
 
 # -- the HTTP facade -----------------------------------------------------------
 
-class BrokerApp:
+class BrokerApp(HttpApp):
     """HTTP front of one :class:`FleetBroker` (see ``docs/fleet.md``).
 
     Endpoints (all JSON)::
@@ -378,10 +469,8 @@ class BrokerApp:
     """
 
     def __init__(self, broker: Optional[FleetBroker] = None, **broker_kwargs):
-        from repro.serve.http import Router
-
+        super().__init__()
         self.broker = broker if broker is not None else FleetBroker(**broker_kwargs)
-        self.router = Router()
         r = self.router
         r.add("GET", "/healthz", self.handle_health)
         r.add("GET", "/metrics", self.handle_metrics)
@@ -392,22 +481,14 @@ class BrokerApp:
         r.add("POST", "/settle", self.handle_settle)
         r.add("GET", "/results", self.handle_results)
         r.add("POST", "/drain", self.handle_drain)
-        self._server: Optional[asyncio.base_events.Server] = None
         self._expiry_task: Optional[asyncio.Task] = None
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> asyncio.base_events.Server:
-        self._server = await asyncio.start_server(
-            self._on_connection, host=host, port=port)
         self._expiry_task = asyncio.get_running_loop().create_task(
-            self._expiry_loop(), name="repro-fleet-expiry")
-        return self._server
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "start() first"
-        return self._server.sockets[0].getsockname()[1]
+            self.broker.expire_forever(), name="repro-fleet-expiry")
+        return await self.listen(host, port)
 
     async def shutdown(self) -> None:
         if self._expiry_task is not None:
@@ -416,39 +497,18 @@ class BrokerApp:
                 await self._expiry_task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    async def _expiry_loop(self) -> None:
-        """Requeue expired leases even while no worker is calling in."""
-        tick = max(0.05, min(1.0, self.broker.lease_s / 4.0))
-        while True:
-            await asyncio.sleep(tick)
-            self.broker.expire()
-
-    async def _on_connection(self, reader, writer) -> None:
-        from repro.serve.http import serve_connection
-
-        await serve_connection(self.router, reader, writer)
+        await self.close()
 
     # -- handlers --------------------------------------------------------------
     async def handle_health(self, req):
-        from repro.serve.http import Response
-
         return Response.json({"status": "ok", "closing": self.broker.closing,
                               **self.broker.counts()})
 
     async def handle_metrics(self, req):
-        from repro.serve.http import Response
-
-        return Response.text(
-            self.broker.metrics.render(self.broker.cache),
-            content_type="text/plain; version=0.0.4; charset=utf-8")
+        return Response.prometheus(
+            self.broker.metrics.render(self.broker.cache))
 
     async def handle_submit(self, req):
-        from repro.serve.http import HttpError, Response
-
         body = req.json()
         raw = body.get("specs")
         if not isinstance(raw, list) or not raw:
@@ -460,18 +520,15 @@ class BrokerApp:
             raise HttpError(400, f"invalid task spec: {e}") from None
         del jobs
         ids = self.broker.submit(specs)
-        return Response.json({"ids": ids}, status=202)
+        return Response.json({"ids": ids,
+                              "trace_id": self.broker.task(ids[0]).spec.trace_id},
+                             status=202)
 
     async def handle_tasks(self, req):
-        from repro.serve.http import Response
-
-        tasks = [self.broker.task(t).summary()
-                 for t in sorted(self.broker._tasks)]
+        tasks = [t.summary() for t in self.broker.tasks()]
         return Response.json({"tasks": tasks, **self.broker.counts()})
 
     async def handle_lease(self, req):
-        from repro.serve.http import HttpError, Response
-
         body = req.json()
         worker = body.get("worker")
         if not isinstance(worker, str) or not worker.strip():
@@ -488,8 +545,6 @@ class BrokerApp:
         })
 
     async def handle_renew(self, req):
-        from repro.serve.http import HttpError, Response
-
         body = req.json()
         worker = body.get("worker", "")
         ids = body.get("ids")
@@ -498,8 +553,6 @@ class BrokerApp:
         return Response.json({"renewed": self.broker.renew(worker, ids)})
 
     async def handle_settle(self, req):
-        from repro.serve.http import HttpError, Response
-
         body = req.json()
         worker = body.get("worker", "")
         task_id = body.get("id")
@@ -517,8 +570,6 @@ class BrokerApp:
         return Response.json({"status": status})
 
     async def handle_results(self, req):
-        from repro.serve.http import HttpError, Response
-
         raw = req.first("ids")
         ids = None
         if raw:
@@ -534,15 +585,13 @@ class BrokerApp:
         except RuntimeError as e:
             raise HttpError(409, str(e)) from None
         out = []
-        for tid, jr in zip(ids if ids is not None
-                           else sorted(self.broker._tasks), results):
+        for tid, jr in zip(sorted(ids) if ids is not None
+                           else [t.id for t in self.broker.tasks()], results):
             out.append({"id": tid, "spec": self.broker.task(tid).spec.to_dict(),
                         **result_to_wire(jr)})
         return Response.json({"results": out})
 
     async def handle_drain(self, req):
-        from repro.serve.http import Response
-
         self.broker.drain()
         return Response.json({"closing": True})
 
@@ -550,33 +599,19 @@ class BrokerApp:
 def run_broker(host: str, port: int, lease_s: float, retries: int,
                no_cache: bool = False, cache_dir: Optional[str] = None) -> int:
     """Blocking entry point for ``repro fleet broker`` (returns exit code)."""
-    from pathlib import Path
+    cache = open_cache(cache_dir, no_cache)
+    app = BrokerApp(cache=cache, lease_s=lease_s, retries=retries)
 
-    from repro.exec.cache import disk_cache_enabled
-
-    cache = ResultCache(root=Path(cache_dir) if cache_dir else None,
-                        enabled=not no_cache and disk_cache_enabled())
-    app = BrokerApp(cache=cache if cache.enabled else None,
-                    lease_s=lease_s, retries=retries)
-
-    async def main() -> int:
-        await app.start(host=host, port=port)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop.set)
-        print(f"repro fleet broker: listening on http://{host}:{app.port} "
-              f"(lease={lease_s}s, retries={retries}, cache="
-              f"{'off' if not cache.enabled else cache.root})", flush=True)
-        await stop.wait()
+    async def stop() -> None:
         counts = app.broker.counts()
         print(f"repro fleet broker: shutting down ({counts['done']} done, "
               f"{counts['failed']} failed, {counts['queued']} queued)",
               flush=True)
         await app.shutdown()
-        return 0
 
-    try:
-        return asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        return 0
+    return run_until_signalled(
+        app, host, port, stop=stop,
+        banner=lambda bound: (
+            f"repro fleet broker: listening on http://{host}:{bound} "
+            f"(lease={lease_s}s, retries={retries}, "
+            f"cache={cache.root if cache else 'off'})"))

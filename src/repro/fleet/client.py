@@ -40,10 +40,13 @@ class FleetClient:
         self.host, _, port = host.partition(":")
         self.port = int(port or 80)
         self.timeout_s = timeout_s
+        #: Trace id the broker stamped on the last :meth:`submit`.
+        self.last_trace_id: Optional[str] = None
 
     # -- transport -------------------------------------------------------------
-    def _request(self, method: str, path: str,
-                 body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def request(self, method: str, path: str,
+                body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """One JSON exchange; :class:`FleetError` on any failure."""
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout_s)
         try:
@@ -70,18 +73,19 @@ class FleetClient:
 
     # -- API -------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz")
+        return self.request("GET", "/healthz")
 
     def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
-        out = self._request("POST", "/tasks",
-                            {"specs": [s.to_dict() for s in specs]})
+        out = self.request("POST", "/tasks",
+                           {"specs": [s.to_dict() for s in specs]})
+        self.last_trace_id = out.get("trace_id")
         return [int(i) for i in out["ids"]]
 
     def tasks(self) -> Dict[str, Any]:
-        return self._request("GET", "/tasks")
+        return self.request("GET", "/tasks")
 
     def drain(self) -> None:
-        self._request("POST", "/drain", {})
+        self.request("POST", "/drain", {})
 
     def wait(self, task_ids: Sequence[int], timeout_s: float = 600.0,
              poll_s: float = 0.2,
@@ -110,7 +114,7 @@ class FleetClient:
     def results(self, task_ids: Sequence[int]) -> List[JobResult]:
         """Ordered :class:`JobResult`\\ s for settled tasks."""
         ids = ",".join(str(i) for i in sorted(task_ids))
-        out = self._request("GET", f"/results?ids={ids}")
+        out = self.request("GET", f"/results?ids={ids}")
         results = []
         for ent in out["results"]:
             spec = TaskSpec.from_dict(ent["spec"])

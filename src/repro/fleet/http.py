@@ -1,16 +1,18 @@
-"""Minimal asyncio HTTP/1.1 layer for the job server — stdlib only.
+"""Minimal asyncio HTTP/1.1 layer of the job plane — stdlib only.
 
-The job server needs exactly four things from HTTP: parse a request line
-plus headers plus an optional ``Content-Length`` body, route it by method
-and path pattern, write a fixed-length JSON response, and stream a
-chunked-transfer body for the progress endpoint. This module provides
-those four things over :mod:`asyncio` streams and nothing else — no
-keep-alive pipelining, no TLS, no compression. Every connection serves
+The fleet broker and the job server need exactly four things from HTTP:
+parse a request line plus headers plus an optional ``Content-Length``
+body, route it by method and path pattern, write a fixed-length JSON
+response, and stream a chunked-transfer body for the progress endpoint.
+This module provides those four things over :mod:`asyncio` streams and
+nothing else — no keep-alive pipelining, no TLS, no compression. Every connection serves
 one request and closes (``Connection: close``), which every stdlib and
 curl-style client handles.
 
-Kept deliberately separate from the job-server logic so the routing and
-handlers in :mod:`repro.serve.server` stay testable without sockets.
+Kept deliberately separate from the broker and job-server logic so their
+routing and handlers stay testable without sockets. :class:`HttpApp` and
+:func:`run_until_signalled` are the one listener and the one blocking main
+of both HTTP daemons, ``repro fleet broker`` and ``repro serve``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import signal
 from dataclasses import dataclass, field
 from typing import (
     AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple,
 )
 from urllib.parse import parse_qs, unquote, urlsplit
 
-__all__ = ["HttpError", "Request", "Response", "Router", "serve_connection"]
+__all__ = ["HttpApp", "HttpError", "Request", "Response", "Router",
+           "run_until_signalled", "serve_connection"]
 
 #: Request bodies above this are rejected with 413 — a job submission is a
 #: small JSON document; anything bigger is a client bug or abuse.
@@ -101,6 +105,12 @@ class Response:
              content_type: str = "text/plain; charset=utf-8") -> "Response":
         return cls(status=status, body=text.encode("utf-8"),
                    content_type=content_type)
+
+    @classmethod
+    def prometheus(cls, text: str) -> "Response":
+        """A ``/metrics`` body in the Prometheus text exposition format."""
+        return cls.text(text, content_type="text/plain; version=0.0.4; "
+                                           "charset=utf-8")
 
 
 Handler = Callable[[Request], Awaitable[Response]]
@@ -248,3 +258,57 @@ async def serve_connection(router: Router, reader: asyncio.StreamReader,
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+class HttpApp:
+    """One :class:`Router` behind an asyncio listener."""
+
+    def __init__(self) -> None:
+        self.router = Router()
+        self._server: Optional[asyncio.base_events.Server] = None
+
+    def on_request(self, req: Request, resp: Response) -> None:
+        """Observe every completed exchange (default: nothing)."""
+
+    async def listen(self, host: str, port: int) -> asyncio.base_events.Server:
+        self._server = await asyncio.start_server(
+            lambda r, w: serve_connection(self.router, r, w,
+                                          on_request=self.on_request),
+            host=host, port=port)
+        return self._server
+
+    @property
+    def port(self) -> int:
+        assert self._server is not None, "start() first"
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        """Stop listening (requests in flight finish)."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+
+
+def run_until_signalled(app, host: str, port: int,
+                        banner: Callable[[int], str],
+                        stop: Callable[[], Awaitable[None]]) -> int:
+    """Serve ``app`` until SIGTERM/SIGINT, then ``await stop()``; exit code.
+
+    ``app.start(host=, port=)`` binds the listener; ``banner(port)`` is
+    printed once it is up (clients parse its ``listening on http://``).
+    """
+    async def main() -> int:
+        await app.start(host=host, port=port)
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, stopping.set)
+        print(banner(app.port), flush=True)
+        await stopping.wait()
+        await stop()
+        return 0
+
+    try:
+        return asyncio.run(main())
+    except KeyboardInterrupt:  # pragma: no cover - signal handler races
+        return 0

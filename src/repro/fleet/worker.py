@@ -21,8 +21,6 @@ Two layers keep long simulations safe:
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
 import socket
 import threading
@@ -30,8 +28,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
-from repro.exec.cache import ResultCache, disk_cache_enabled
+from repro.exec.cache import ResultCache, open_cache
 from repro.exec.runner import JobResult, _simulate_job
+from repro.fleet.client import FleetClient
 from repro.fleet.protocol import TaskSpec, result_to_wire
 
 __all__ = ["FleetWorker", "run_worker"]
@@ -79,10 +78,7 @@ class FleetWorker:
                  broker_grace_s: float = 30.0,
                  trace_dir: Optional[Path] = None,
                  log: Callable[[str], None] = lambda msg: None):
-        self.broker_url = broker_url.rstrip("/")
-        host = self.broker_url.split("://", 1)[-1]
-        self.host, _, port = host.partition(":")
-        self.port = int(port or 80)
+        self.client = FleetClient(broker_url)
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.cache = cache
         self.poll_s = poll_s
@@ -96,23 +92,8 @@ class FleetWorker:
         self.tasks_failed = 0
         self._stop = threading.Event()
 
-    # -- transport -------------------------------------------------------------
-    def _post(self, path: str, body: Dict[str, Any],
-              timeout: float = 30.0) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
-        try:
-            conn.request("POST", path, body=json.dumps(body).encode(),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
-        finally:
-            conn.close()
-        payload = json.loads(data) if data else {}
-        if resp.status >= 400:
-            raise RuntimeError(f"{path} -> {resp.status}: "
-                               f"{payload.get('error', data[:200])}")
-        return payload
+    def _post(self, path: str, body: Dict[str, Any]) -> Dict[str, Any]:
+        return self.client.request("POST", path, body)
 
     # -- execution -------------------------------------------------------------
     def stop(self) -> None:
@@ -120,7 +101,7 @@ class FleetWorker:
 
     def run(self) -> int:
         """Main loop; returns the number of tasks executed (not cached)."""
-        self.log(f"worker {self.worker_id}: polling {self.broker_url}")
+        self.log(f"worker {self.worker_id}: polling {self.client.broker_url}")
         last_contact = time.monotonic()
         while not self._stop.is_set():
             try:
@@ -239,11 +220,9 @@ def run_worker(broker_url: str, worker_id: Optional[str], poll_s: float,
     import signal
     import sys
 
-    cache = ResultCache(root=Path(cache_dir) if cache_dir else None,
-                        enabled=not no_cache and disk_cache_enabled())
     worker = FleetWorker(
         broker_url, worker_id=worker_id,
-        cache=cache if cache.enabled else None, poll_s=poll_s,
+        cache=open_cache(cache_dir, no_cache), poll_s=poll_s,
         max_tasks=max_tasks, oneshot=oneshot,
         trace_dir=Path(trace_dir) if trace_dir else None,
         log=lambda msg: print(msg, file=sys.stderr, flush=True))

@@ -1,21 +1,20 @@
 """Simulation-as-a-service: the ``repro serve`` async job server.
 
-- :mod:`repro.serve.http`      — minimal asyncio HTTP/1.1 layer (stdlib only)
-- :mod:`repro.serve.jobs`      — job model, submission validation, store
-- :mod:`repro.serve.scheduler` — priority queue, tenant quotas, sweep runs
-- :mod:`repro.serve.metrics`   — server counters on the obs MetricRegistry
-- :mod:`repro.serve.server`    — routes, app wiring, the run loop
+- :mod:`repro.serve.jobs`   — job model, submission validation, store
+- :mod:`repro.serve.server` — routes, jobs on the fleet broker, metrics,
+  the run loop
 
-See ``docs/serving.md`` for the API and deployment guide.
+The HTTP layer is the fleet's (:mod:`repro.fleet.http`). See
+``docs/serving.md`` for the API and deployment guide.
 """
 
 from repro.serve.jobs import Job, JobStore, parse_job_request
-from repro.serve.metrics import ServerMetrics
-from repro.serve.scheduler import QuotaExceeded, Scheduler
-from repro.serve.server import ServeApp, run_server
+from repro.serve.server import (
+    QuotaExceeded, ServeApp, ServerMetrics, run_server,
+)
 
 __all__ = [
     "Job", "JobStore", "parse_job_request",
-    "ServerMetrics", "QuotaExceeded", "Scheduler",
+    "ServerMetrics", "QuotaExceeded",
     "ServeApp", "run_server",
 ]

@@ -2,33 +2,34 @@
 
 A submitted job is a small sweep: the JSON body names configs, workloads,
 ops, and seeds exactly like ``repro sweep`` flags, and expands through
-:func:`repro.exec.runner.expand_grid` into :class:`SweepJob` tasks at
-submission time — so an invalid config or workload is rejected with a 400
-before anything is queued. Each job carries a tenant (for quotas), a
-priority (higher runs first), and an append-only event log that the
-streaming endpoint replays and tails.
+:func:`repro.fleet.protocol.expand_specs` into broker :class:`TaskSpec`
+tasks at submission time — so an invalid config or workload is rejected
+with a 400 before anything is queued. Each job carries a tenant (for
+quotas), a priority (higher runs first), and an append-only event log
+that the streaming endpoint replays and tails.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import time
-import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.engine.kernel import KERNEL_MODES
-from repro.exec.runner import JobResult, SweepJob, expand_grid
+from repro.exec.runner import JobResult
+from repro.fleet.protocol import TaskSpec, expand_specs
 from repro.observer import MODES
 from repro.workloads import workload_names
 
 __all__ = ["Job", "JobStore", "parse_job_request",
            "JOB_STATES", "TERMINAL_STATES"]
 
-#: Lifecycle: queued -> running -> one of the terminal states. ``timed_out``
-#: means at least one task exhausted its attempts on the per-job deadline;
-#: ``failed`` means a task failed for any other reason.
+#: Lifecycle: queued -> running (its first task left the broker queue) ->
+#: one of the terminal states. ``timed_out`` means at least one task
+#: exhausted its attempts on the deadline; ``failed``, any other failure.
 JOB_STATES = ("queued", "running", "done", "failed", "timed_out", "cancelled")
 TERMINAL_STATES = ("done", "failed", "timed_out", "cancelled")
 
@@ -46,7 +47,7 @@ def parse_job_request(payload: Dict[str, Any],
     """Validate a submission body into normalized job fields.
 
     Returns ``{"tenant", "priority", "spec", "tasks"}`` where ``tasks`` is
-    the expanded :class:`SweepJob` list. Raises :class:`BadRequest` with a
+    the expanded :class:`TaskSpec` list. Raises :class:`BadRequest` with a
     client-facing message on any invalid field.
     """
     if not isinstance(payload, dict):
@@ -106,8 +107,8 @@ def parse_job_request(payload: Dict[str, Any],
     tracing = payload.get("tracing")
 
     try:
-        tasks = expand_grid(configs, workloads, ops=ops, seeds=seeds,
-                            validate=validate, kernel=kernel, tracing=tracing)
+        tasks = expand_specs(configs, workloads, ops=ops, seeds=seeds,
+                             validate=validate, kernel=kernel, tracing=tracing)
     except KeyError as e:
         raise BadRequest(str(e).strip("'\"")) from None
     if len(tasks) > MAX_TASKS_PER_JOB:
@@ -124,18 +125,19 @@ def parse_job_request(payload: Dict[str, Any],
 class Job:
     """One accepted job and its full lifecycle state.
 
-    Mutated only on the event loop thread (worker-thread progress is
-    marshalled over ``call_soon_threadsafe``), so readers on the loop see
-    a consistent snapshot without locks.
+    Mutated only on the event loop thread (the broker calls back there),
+    so readers on the loop see a consistent snapshot without locks.
     """
 
     id: str
     tenant: str
     priority: int
     spec: Dict[str, Any]
-    tasks: List[SweepJob]
-    #: Distributed trace id minted at submission; every task is stamped
-    #: with it so a traced worker-side span export names this job.
+    tasks: List[TaskSpec]
+    #: Broker task ids, in task order (set once submitted to the broker).
+    task_ids: List[int] = field(default_factory=list)
+    #: Distributed trace id, minted by the broker at submit and stamped on
+    #: every task, so a traced span export names this job.
     trace_id: str = ""
     state: str = "queued"
     submitted_at: float = field(default_factory=time.time)
@@ -210,22 +212,27 @@ class JobStore:
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
         self.keep_finished = keep_finished
+        self._finished: Deque[str] = collections.deque()
+        self._live: Dict[str, int] = collections.Counter()
 
     def create(self, parsed: Dict[str, Any]) -> Job:
         self._seq += 1
-        # Mint the distributed trace id here — submission is the root of
-        # the causal chain — and stamp it onto every expanded task so it
-        # survives the lease/settle round trip and lands in any traced
-        # result's extras["trace"].
-        trace_id = uuid.uuid4().hex
-        tasks = [dataclasses.replace(t, trace_id=trace_id)
-                 for t in parsed["tasks"]]
         job = Job(id=f"job-{self._seq:06d}", tenant=parsed["tenant"],
                   priority=parsed["priority"], spec=parsed["spec"],
-                  tasks=tasks, trace_id=trace_id)
+                  tasks=parsed["tasks"])
         self._jobs[job.id] = job
-        self._evict()
+        self._live[job.tenant] += 1
         return job
+
+    def seal(self, job: Job) -> List[Job]:
+        """Record that ``job`` went terminal; returns the jobs evicted
+        (only the newest ``keep_finished`` finished jobs are kept)."""
+        self._live[job.tenant] -= 1
+        self._finished.append(job.id)
+        evicted = []
+        while len(self._finished) > self.keep_finished:
+            evicted.append(self._jobs.pop(self._finished.popleft()))
+        return evicted
 
     def get(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
@@ -235,15 +242,4 @@ class JobStore:
 
     def tenant_live(self, tenant: str) -> int:
         """Queued + running jobs currently held by one tenant."""
-        return sum(1 for j in self._jobs.values()
-                   if j.tenant == tenant and j.state in ("queued", "running"))
-
-    def _evict(self) -> None:
-        finished = [j for j in self._jobs.values()
-                    if j.state in TERMINAL_STATES]
-        excess = len(finished) - self.keep_finished
-        if excess <= 0:
-            return
-        finished.sort(key=lambda j: j.finished_at or j.submitted_at)
-        for j in finished[:excess]:
-            del self._jobs[j.id]
+        return self._live[tenant]

@@ -1,9 +1,12 @@
 """Unit tests for the process-pool sweep runner."""
 
+import asyncio
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.exec.attempts import AttemptPool
 from repro.exec.cache import ResultCache
 from repro.exec.runner import (
     PoolRunner, SweepJob, SweepRunner, default_workers, expand_grid,
@@ -165,6 +168,17 @@ class TestPoolRunnerDeadlines:
         # fixed runner settles it at ~timeout.
         assert elapsed < 0.3 + timeout
 
+    def test_casualty_of_a_hung_worker_restarts_uncharged(self):
+        # Item 2 starts at ~0.5s on the second worker and is still running
+        # when item 0's deadline (~1.0s) takes the pool down. It must start
+        # over on the fresh pool, not be failed or charged an attempt.
+        runner = PoolRunner(_sleep_return, workers=2,
+                            job_timeout_s=1.0, retries=0)
+        outs = runner.run([60.0, 0.5, 0.75])
+        assert "timeout" in outs[0].error
+        assert outs[1].value == 0.5
+        assert outs[2].value == 0.75 and outs[2].attempts == 1
+
     def test_retry_gets_fresh_deadline_and_succeeds(self):
         # retries=1: the first attempt times out, the resubmission gets a
         # full fresh deadline and completes.
@@ -185,6 +199,25 @@ class TestPoolRunnerDeadlines:
             f"fast job wall_s={outs[1].wall_s:.2f}s includes settle-loop "
             f"blocking on the slow job")
         assert outs[0].wall_s >= 0.7
+
+
+class TestAttemptPool:
+    def test_dead_worker_pool_is_rebuilt(self):
+        # A worker process that dies (say, OOM-killed) breaks the whole
+        # pool; the next attempt must get a fresh one.
+        pool = AttemptPool(_sleep_return, workers=2)
+
+        async def attempts():
+            first = pool.start(5.0)
+            for proc in list(pool._pool._processes.values()):
+                proc.kill()
+            with pytest.raises(BrokenProcessPool):
+                await first
+            return await pool.start(0.05)
+        try:
+            assert asyncio.run(attempts()) == 0.05
+        finally:
+            pool.close()
 
 
 class TestRunSuiteWorkers:

@@ -22,6 +22,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import JobResult, SweepRunner, _simulate_job
@@ -30,6 +31,7 @@ from repro.fleet import (
     FleetWorker, LocalExecutor, TaskSpec, build_spec_config, expand_specs,
     parse_search, result_from_wire, result_to_wire,
 )
+from repro.fleet.broker import TASK_STATES
 from repro.system.config import ALL_CONFIGS
 
 OPS = 200
@@ -336,6 +338,107 @@ class TestBrokerDeterminism:
         pool = SweepRunner(workers=1).run([s.build_job() for s in specs])
         assert ([dataclasses.asdict(r.result) for r in fleet]
                 == [dataclasses.asdict(r.result) for r in pool])
+
+
+class TestBrokerBookkeeping:
+    """Incremental counts and heap order against independent references."""
+
+    _payload = None
+
+    @classmethod
+    def payload(cls):
+        if cls._payload is None:
+            cls._payload = run_and_wire(TaskSpec(workload="mcf", ops=50))[1]
+        return cls._payload
+
+    lease = st.tuples(st.just("lease"), st.sampled_from("abc"),
+                      st.integers(1, 3))
+    advance = st.tuples(st.just("advance"), st.integers(0, 6))
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("submit"), st.integers(1, 3), st.integers(-1, 1)),
+        lease, lease, advance, advance,
+        st.tuples(st.just("renew"), st.sampled_from("abc"), st.integers(0, 40)),
+        st.tuples(st.just("ok"), st.sampled_from("abc"), st.integers(0, 40)),
+        st.tuples(st.just("error"), st.sampled_from("abc"), st.integers(0, 40)),
+        st.tuples(st.just("forget"), st.integers(0, 40)),
+    ), max_size=60)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ops)
+    def test_counts_and_lease_order_match_references(self, ops):
+        clock = Clock()
+        broker = FleetBroker(lease_s=4.0, retries=2, now_fn=clock)
+        spec = TaskSpec(workload="mcf", ops=50)
+        ids = []                         # every id ever submitted
+        stamp = {}                       # id -> (enqueue step, tie-break)
+        for step, op in enumerate(ops):
+            kind = op[0]
+            before = {t.id: (t.state, t.requeues, t.lease_deadline)
+                      for t in broker.tasks()}
+            if kind == "submit":
+                new = broker.submit([spec] * op[1], priority=op[2])
+                ids += new
+                for i, tid in enumerate(new):
+                    stamp[tid] = (step, i)
+            elif kind == "lease":
+                queued = [t for t in broker.tasks() if t.state == "queued"]
+                queued.sort(key=lambda t: (-t.priority, stamp[t.id]))
+                granted = broker.lease(op[1], op[2])
+                assert ([t.id for t in granted]
+                        == [t.id for t in queued[:op[2]]])
+            elif kind == "advance":
+                clock.advance(op[1])
+                broker.expire()
+            elif kind == "forget":
+                if ids:
+                    broker.forget([ids[op[1] % len(ids)]])
+            elif ids:
+                tid = ids[op[2] % len(ids)]
+                try:
+                    if kind == "renew":
+                        broker.renew(op[1], [tid])
+                    elif kind == "ok":
+                        broker.settle(op[1], tid, payload=self.payload())
+                    else:
+                        broker.settle(op[1], tid, error="boom")
+                except KeyError:
+                    assert tid not in {t.id for t in broker.tasks()}
+            # A task that re-entered the queue during this step goes to the
+            # back of its priority; several expiring at once, by deadline.
+            for t in broker.tasks():
+                was = before.get(t.id)
+                if (t.state == "queued" and was is not None
+                        and (was[0] != "queued" or t.requeues > was[1])):
+                    stamp[t.id] = (step, was[2], t.id)
+            recount = {s: 0 for s in TASK_STATES}
+            for t in broker.tasks():
+                recount[t.state] += 1
+            counts = broker.counts()
+            assert {s: counts[s] for s in TASK_STATES} == recount
+            assert counts["total"] == len(broker.tasks())
+            assert broker.metrics.queued_tasks.value == recount["queued"]
+            assert broker.metrics.leased.value == recount["leased"]
+            assert broker.done() == (recount["queued"] + recount["leased"] == 0)
+
+    def test_forget_drops_tasks_and_results(self):
+        broker = FleetBroker()
+        ids = broker.submit(make_specs(2))
+        broker.forget(ids[:1] + [999])
+        assert [t.id for t in broker.tasks()] == ids[1:]
+        assert broker.counts()["total"] == 1
+        [task] = broker.lease("w1", 5)           # the forgotten one is skipped
+        assert task.id == ids[1]
+        with pytest.raises(KeyError):
+            broker.settle("w1", ids[0], error="late")
+
+    def test_one_trace_id_per_submit_explicit_ids_kept(self):
+        broker = FleetBroker()
+        a = broker.submit(make_specs(2))
+        b = broker.submit(make_specs(1) + [TaskSpec(trace_id="explicit")])
+        ta = {broker.task(t).spec.trace_id for t in a}
+        tb = [broker.task(t).spec.trace_id for t in b]
+        assert len(ta) == 1 and len(next(iter(ta))) == 32
+        assert tb[1] == "explicit" and tb[0] not in ta | {"explicit"}
 
 
 # -- HTTP facade + real workers ------------------------------------------------

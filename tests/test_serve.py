@@ -3,11 +3,12 @@
 A real server runs on a background thread with its own event loop and is
 driven over actual sockets with ``http.client`` — the same path any
 external client takes. Small ops counts keep submissions sub-second;
-``pool_workers=1`` runs sweeps inline in the job thread (no subprocesses)
+``pool_workers=1`` runs attempts inline on daemon threads (no subprocesses)
 except where the pool's deadline machinery is the thing under test.
 """
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import threading
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.exec.cache import ResultCache
+from repro.exec.runner import SweepRunner
 from repro.obs.export import parse_prometheus
 from repro.serve import ServeApp
 from repro.serve.jobs import BadRequest, parse_job_request
@@ -260,7 +262,7 @@ class TestTimeoutAndShutdown:
         # ops large enough (~40s of simulation) that the run cannot finish
         # inside the deadline; pool_workers=2 exercises the real
         # process-pool path where the hung worker is killed and replaced.
-        # The deadline runs from submission, so it must also cover pool
+        # The deadline runs from the lease, so it must also cover pool
         # spawn + worker import (~0.7s) for the follow-up job to pass.
         server = ServerHarness(pool_workers=2, job_timeout_s=2.5,
                                retries=0,
@@ -285,6 +287,88 @@ class TestTimeoutAndShutdown:
         finally:
             server.stop()
 
+    def test_inline_job_timeout_reported(self, tmp_path):
+        # pool_workers=1 runs the attempt inline on a daemon thread. The
+        # lease is the deadline, so the broker times the task out on
+        # schedule, and the abandoned thread is interrupted rather than
+        # left simulating (~40s) beside the next job.
+        server = ServerHarness(pool_workers=1, max_active=2,
+                               job_timeout_s=2.5, retries=0,
+                               cache=ResultCache(root=tmp_path / "c"))
+        try:
+            hung = server.submit({**SPEC, "ops": 50_000})
+            final = server.wait_job(hung["id"], timeout=60)
+            assert final["state"] == "timed_out"
+            assert final["timed_out_tasks"] == 1
+            assert "deadline" in final["error"]
+            assert final["finished_at"] - final["started_at"] < 20
+
+            def attempts():
+                return [t for t in threading.enumerate()
+                        if t.name.startswith("repro-serve-slot")]
+            deadline = time.time() + 10
+            while attempts() and time.time() < deadline:
+                time.sleep(0.05)
+            assert not attempts(), "abandoned inline attempt still running"
+            ok = server.wait_job(server.submit(SPEC)["id"])
+            assert ok["state"] == "done"
+        finally:
+            server.stop()
+
+    def test_pooled_attempts_settle_on_their_own(self, tmp_path):
+        # One slot, a pool of 2, no retries; the job is a hung task and two
+        # short ones. Each attempt settles as it ends and frees a pool
+        # worker for the next lease, so the short tasks finish (and are
+        # cached) while the hung one runs, and only the hung one times out.
+        cache = ResultCache(root=tmp_path / "c")
+        server = ServerHarness(pool_workers=2, max_active=1,
+                               job_timeout_s=2.5, retries=0, cache=cache)
+        try:
+            parsed = parse_job_request({**SPEC, "seeds": [1, 2, 3]})
+            hung, *short = parsed["tasks"]
+            parsed["tasks"] = [dataclasses.replace(hung, ops=50_000), *short]
+
+            async def submit():
+                return server.app.submit(parsed).id
+            job_id = asyncio.run_coroutine_threadsafe(
+                submit(), server.loop).result(10)
+            final = server.wait_job(job_id, timeout=60)
+            assert final["state"] == "timed_out"
+            assert final["timed_out_tasks"] == 1
+            assert final["failed_tasks"] == 0
+            _, payload = server.json("GET", f"/jobs/{job_id}/result")
+            ok = [t["error"] is None for t in payload["job"]["tasks"]]
+            assert ok == [False, True, True]
+            for spec in short:
+                job = spec.build_job()
+                assert cache.get(job.config, job.workload, job.ops,
+                                 job.seed) is not None
+        finally:
+            server.stop()
+
+    def test_failed_cache_write_fails_only_its_job(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "c")
+        put = cache.put
+        calls = []
+
+        def flaky_put(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError(28, "No space left on device")
+            put(*args)
+        cache.put = flaky_put
+        server = ServerHarness(pool_workers=1, max_active=1, retries=0,
+                               cache=cache)
+        try:
+            failed = server.wait_job(server.submit(SPEC)["id"])
+            assert failed["state"] == "failed"
+            assert "No space left" in failed["error"]
+            ok = server.wait_job(server.submit(SPEC)["id"])
+            assert ok["state"] == "done"
+            assert len(calls) == 2
+        finally:
+            server.stop()
+
     def test_shutdown_cancels_queue_and_joins(self, tmp_path):
         server = ServerHarness(pool_workers=1, max_active=1,
                                cache=ResultCache(root=tmp_path / "c"))
@@ -295,3 +379,29 @@ class TestTimeoutAndShutdown:
         assert stats["abandoned"] == 0
         assert server.app.store.get(queued["id"]).state == "cancelled"
         assert server.app.store.get(blocker["id"]).state == "done"
+
+
+class TestBrokerPlane:
+    """A serve job is broker tasks: one trace id, bounded retention."""
+
+    def test_trace_id_matches_every_leased_spec(self):
+        app = ServeApp(pool_workers=1)           # never started: no slots
+        job = app.submit(parse_job_request({**SPEC, "seeds": [1, 2, 3],
+                                            "tracing": "on"}))
+        leased = app.broker.lease("w", max_tasks=10)
+        assert [t.id for t in leased] == job.task_ids
+        assert len(job.trace_id) == 32
+        assert all(t.spec.trace_id == job.trace_id for t in leased)
+
+    def test_evicted_jobs_release_their_broker_tasks(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "c")
+        app = ServeApp(pool_workers=1, cache=cache)
+        app.store.keep_finished = 2
+        SweepRunner(workers=1, cache=cache).run(
+            [s.build_job() for s in parse_job_request(SPEC)["tasks"]])
+        jobs = [app.submit(parse_job_request(SPEC)) for _ in range(5)]
+        # Every task was a cache hit: each job finished inside submit.
+        assert all(j.state == "done" and j.cached_tasks == 1 for j in jobs)
+        assert [j.id for j in app.store.jobs()] == [j.id for j in jobs[-2:]]
+        assert ({t.id for t in app.broker.tasks()}
+                == {t for j in jobs[-2:] for t in j.task_ids})

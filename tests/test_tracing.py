@@ -17,7 +17,8 @@ from repro.engine.kernel import KERNEL_MODES
 from repro.exportutil import dispatch_export
 from repro.fleet import TaskSpec, expand_specs
 from repro.observer import resolve_mode
-from repro.serve.jobs import BadRequest, JobStore, parse_job_request
+from repro.serve import ServeApp
+from repro.serve.jobs import BadRequest, parse_job_request
 from repro.exec.runner import SweepJob, _simulate_job, expand_grid
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
@@ -356,17 +357,19 @@ class TestPropagation:
                                "tracing": "verbose"})
 
     def test_serve_mints_and_stamps_trace_id(self):
-        parsed = parse_job_request({"configs": "ddr-baseline",
-                                    "workloads": "mcf", "ops": 100,
-                                    "tracing": "on"})
-        store = JobStore()
-        job = store.create(parsed)
-        other = store.create(parse_job_request(
+        # The broker mints at submit; a serve job reports the id its
+        # broker tasks carry. The app is never started: tasks stay queued.
+        app = ServeApp(pool_workers=1)
+        job = app.submit(parse_job_request({"configs": "ddr-baseline",
+                                            "workloads": "mcf", "ops": 100,
+                                            "tracing": "on"}))
+        other = app.submit(parse_job_request(
             {"configs": "ddr-baseline", "workloads": "mcf", "ops": 100}))
         assert job.trace_id and len(job.trace_id) == 32
         assert job.trace_id != other.trace_id
-        assert all(t.trace_id == job.trace_id for t in job.tasks)
-        assert all(t.tracing == "on" for t in job.tasks)
+        specs = [app.broker.task(t).spec for t in job.task_ids]
+        assert all(s.trace_id == job.trace_id for s in specs)
+        assert all(s.tracing == "on" for s in specs)
         assert job.summary()["trace_id"] == job.trace_id
 
 
